@@ -1,9 +1,9 @@
 //! Workspace walker and rule driver: discovers source files, classifies
-//! them, runs every token rule and workspace flow rule, applies allow
-//! directives, and reports malformed directives.
+//! them, runs every rule, applies allow directives, and reports
+//! malformed directives.
 
 use crate::resolve::Workspace;
-use crate::rules::{self, trace_coverage, Finding};
+use crate::rules::{self, Finding};
 use crate::source::{FileKind, SourceFile};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -69,10 +69,6 @@ pub struct AuditStats {
     /// a `tests/fixtures/` directory are never collected, so seeded
     /// violations can neither fire nor inflate this count.
     pub files_scanned: usize,
-    /// Iterations the interprocedural summary fixpoint took to converge
-    /// (see [`crate::summary`]); a jump here means deeper call chains or
-    /// a cycle getting close to the iteration cap.
-    pub summary_iterations: usize,
 }
 
 /// Like [`audit_workspace`], also reporting scan statistics.
@@ -81,19 +77,11 @@ pub fn audit_workspace_with_stats(
 ) -> Result<(Vec<Finding>, AuditStats), AuditError> {
     let files = collect_files(&cfg.root)?;
     let mut findings = Vec::new();
-    let per_file_rules = rules::all_rules();
-    for f in &files {
-        for rule in &per_file_rules {
-            rule.check_file(f, &mut findings);
-        }
-    }
-    trace_coverage::check_workspace(&files, &mut findings);
     let ws = Workspace::build(&files);
-    for rule in rules::flow_rules() {
+    for rule in rules::all_rules() {
         rule.check_workspace(&ws, &mut findings);
     }
-    // Allow filtering (trace-coverage findings are suppressible at the use
-    // site like any other), then malformed-directive reporting.
+    // Allow filtering, then malformed-directive reporting.
     findings.retain(|f| {
         let file = files.iter().find(|s| s.rel_path == f.path);
         !file.map(|s| s.is_allowed(f.rule, f.line)).unwrap_or(false)
@@ -141,7 +129,6 @@ pub fn audit_workspace_with_stats(
     findings.dedup();
     let stats = AuditStats {
         files_scanned: files.len(),
-        summary_iterations: ws.summaries.iterations,
     };
     Ok((findings, stats))
 }

@@ -8,28 +8,20 @@
 //! that only cover the paths they execute. This crate enforces the
 //! *source-level* discipline that makes the properties hold everywhere:
 //!
-//! Token rules (per-file shape checks):
-//!
 //! | rule | what it guards |
 //! |------|----------------|
-//! | `no-wall-clock` | virtual clock only; no `Instant`/`SystemTime` in sim code |
-//! | `no-unchecked-accounting-arithmetic` | saturating math for byte/page/cost accumulators |
+//! | `no-wall-clock` | no host-time reads in sim code; inside gh-perf, no host-time value reaches a trace/counter/checksum/`RunReport` |
+//! | `typed-units` | model-crate quantities stay in gh-units: typed unit params, no raw casts, saturating accumulators, no cross-unit `.get()` laundering |
 //! | `no-float-eq` | no exact float compares in cost-model decisions |
 //! | `no-unwrap-in-lib` | library code returns typed errors, never aborts |
+//! | `no-platform-leak` | experiment layers build machines through `gh_sim::platform` |
 //! | `trace-coverage` | every emitted event kind is named by an exporter |
-//! | `allow-syntax` | suppressions are well-formed and carry a reason |
-//!
-//! Flow rules (workspace AST + call graph + taint dataflow):
-//!
-//! | rule | what it guards |
-//! |------|----------------|
 //! | `epoch-coherence` | placement mutators bump `placement_epoch` (span-cache validity) |
-//! | `unit-launder-flow` | `.get()`-escaped raw values stay in their unit domain |
-//! | `wall-clock-taint` | host-time values never reach traces/counters/checksums/`RunReport` |
 //! | `unordered-iter-flow` | hash iteration order never reaches returns/state/output |
-//! | `cache-key-completeness` | every report-influencing spec field is in `canonical_key` |
-//! | `session-isolation` | `Bus`/`Perf`/`Rc` handles never escape their `SessionCtx` |
+//! | `cache-key-completeness` | `canonical_key` destructures `self` exhaustively, so every spec field is keyed |
+//! | `session-isolation` | per-run state lives on the `SessionCtx`: no ambient statics/env reads, no escaping `Bus`/`Perf`/`Rc` handles |
 //! | `lock-discipline` | no re-entrant locking, no lock pair taken in both orders |
+//! | `allow-syntax` | suppressions are well-formed and carry a reason |
 //!
 //! Suppression is per-line and audited itself:
 //!
@@ -39,17 +31,14 @@
 //! ```
 //!
 //! The engine is from scratch (no `syn`/`dylint`: the build environment
-//! is offline), layered as **tokens → AST → dataflow → summaries**: a
-//! lossless lexer ([`lexer`]), an error-tolerant recursive-descent parser
-//! ([`ast`]), shallow name/type resolution ([`resolve`]), a workspace
-//! call graph with effect propagation ([`callgraph`]), an intraprocedural
-//! taint driver ([`dataflow`]) the flow rules plug specs into, and
-//! per-function dataflow summaries propagated over the call graph to a
-//! fixpoint ([`summary`]) so rules reason across function boundaries.
-//! The lints stay *heuristic* — over-approximate environments, by-name
-//! call resolution — so false negatives are possible; false positives
-//! get an allow with a reason, and pre-existing debt can be accepted
-//! with a [`baseline`] file so CI fails only on new findings.
+//! is offline), layered as **tokens → AST → dataflow**: a lossless lexer
+//! ([`lexer`]), an error-tolerant recursive-descent parser ([`ast`]),
+//! shallow name/type resolution ([`resolve`]), a workspace call graph
+//! with effect propagation ([`callgraph`]), and an intraprocedural taint
+//! driver ([`dataflow`]) the flow checks plug specs into. The lints stay
+//! *heuristic* — over-approximate environments, by-name call resolution
+//! — so false negatives are possible; false positives get an allow with
+//! a reason.
 //!
 //! Run it: `cargo run -p gh-audit` (report) or `cargo run -p gh-audit --
 //! --deny` (CI gate, exits 1 on any finding). See `docs/static-analysis.md`.
@@ -59,7 +48,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod engine;
@@ -68,8 +56,6 @@ pub mod report;
 pub mod resolve;
 pub mod rules;
 pub mod source;
-pub mod summary;
 
-pub use baseline::Baseline;
 pub use engine::{audit_workspace, AuditConfig, AuditError};
 pub use rules::Finding;

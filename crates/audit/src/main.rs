@@ -2,43 +2,28 @@
 //!
 //! ```text
 //! gh-audit [--root <dir>] [--rule <name>[,<name>...]]...
-//!          [--format text|json|sarif] [--deny]
-//!          [--baseline <file>] [--write-baseline <file>] [--list-rules]
+//!          [--format text|sarif] [--deny] [--list-rules]
 //! ```
 //!
 //! Findings go to stdout in the selected format; the `scanned N files`
-//! stats line goes to stderr so machine formats stay parseable. Timing is
+//! stats line goes to stderr so SARIF output stays parseable. Timing is
 //! left to the caller (CI) — the audit binary itself reads no clocks, by
-//! its own `wall-clock` rules.
+//! its own `no-wall-clock` rule.
 //!
-//! With `--baseline <file>`, findings recorded in the file are dropped
-//! before reporting (and before the `--deny` gate), so CI fails only on
-//! *new* findings; `--write-baseline <file>` records the current
-//! findings and exits 0. See [`gh_audit::baseline`].
-//!
-//! Exit codes: 0 clean (or findings without `--deny`), 1 new findings
-//! with `--deny`, 2 usage error.
+//! Exit codes: 0 clean (or findings without `--deny`), 1 findings with
+//! `--deny`, 2 usage error.
 
 use gh_audit::engine::audit_workspace_with_stats;
-use gh_audit::{report, rules, AuditConfig, Baseline};
+use gh_audit::{report, rules, AuditConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: gh-audit [--root <dir>] [--rule <name>[,<name>...]]... \
-                     [--format text|json|sarif] [--deny] \
-                     [--baseline <file>] [--write-baseline <file>] [--list-rules]";
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+                     [--format text|sarif] [--deny] [--list-rules]";
 
 fn main() -> ExitCode {
     let mut cfg = AuditConfig::new(std::env::current_dir().unwrap_or_else(|_| ".".into()));
     let mut deny = false;
-    let mut format = Format::Text;
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
+    let mut sarif = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -60,34 +45,16 @@ fn main() -> ExitCode {
                 }
                 None => return usage("--rule needs a rule name"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(p),
-                None => return usage("--baseline needs a file path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(p),
-                None => return usage("--write-baseline needs a file path"),
-            },
             "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    return usage(&format!("unknown format '{other}' (text, json, sarif)"))
-                }
-                None => return usage("--format needs one of: text, json, sarif"),
+                Some("text") => sarif = false,
+                Some("sarif") => sarif = true,
+                Some(other) => return usage(&format!("unknown format '{other}' (text, sarif)")),
+                None => return usage("--format needs one of: text, sarif"),
             },
             "--list-rules" => {
                 for r in rules::all_rules() {
                     println!("{:<38} {}", r.name(), r.describe());
                 }
-                for r in rules::flow_rules() {
-                    println!("{:<38} {}", r.name(), r.describe());
-                }
-                println!(
-                    "{:<38} every emitted gh-trace event kind is named by an exporter",
-                    rules::trace_coverage::NAME
-                );
                 println!(
                     "{:<38} allow directives are well-formed and carry a reason",
                     gh_audit::engine::ALLOW_SYNTAX
@@ -101,50 +68,19 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument '{other}'")),
         }
     }
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => Some(Baseline::parse(&text)),
-            Err(e) => {
-                eprintln!("gh-audit: cannot read baseline {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
     match audit_workspace_with_stats(&cfg) {
         Ok((findings, stats)) => {
-            if let Some(p) = &write_baseline {
-                if let Err(e) = std::fs::write(p, Baseline::render(&findings)) {
-                    eprintln!("gh-audit: cannot write baseline {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "gh-audit: wrote baseline with {} finding(s) to {p}",
-                    findings.len()
-                );
-                return ExitCode::SUCCESS;
-            }
-            let (findings, baselined) = match &baseline {
-                Some(b) => b.partition(findings),
-                None => (findings, 0),
-            };
-            let rendered = match format {
-                Format::Text => report::render(&findings),
-                Format::Json => report::render_json(&findings),
-                Format::Sarif => report::render_sarif(&findings),
+            let rendered = if sarif {
+                report::render_sarif(&findings)
+            } else {
+                report::render(&findings)
             };
             print!("{rendered}");
             // CI greps `scanned N files` — keep that prefix stable.
-            let suppressed = if baselined > 0 {
-                format!(" ({baselined} baselined)")
-            } else {
-                String::new()
-            };
             eprintln!(
-                "gh-audit: scanned {} files, {} finding(s){suppressed}, summary fixpoint in {} iteration(s)",
+                "gh-audit: scanned {} files, {} finding(s)",
                 stats.files_scanned,
-                findings.len(),
-                stats.summary_iterations
+                findings.len()
             );
             if deny && !findings.is_empty() {
                 ExitCode::FAILURE

@@ -1,6 +1,6 @@
-//! Rendering of audit findings — human text, machine JSON, and SARIF 2.1.0
-//! for CI annotations. All three are deterministic, like everything else
-//! in this workspace; the JSON is hand-rolled because the audit crate is
+//! Rendering of audit findings — human text, and SARIF 2.1.0 for CI
+//! annotations. Both are deterministic, like everything else in this
+//! workspace; the SARIF JSON is hand-rolled because the audit crate is
 //! dependency-free on purpose.
 
 use crate::rules::Finding;
@@ -45,29 +45,6 @@ fn esc(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// Renders findings as a JSON array of `{rule, path, line, msg}` objects
-/// (one finding per element, stable order as given).
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"rule\": \"");
-        esc(f.rule, &mut out);
-        out.push_str("\", \"path\": \"");
-        esc(&f.path, &mut out);
-        let _ = write!(out, "\", \"line\": {}, \"msg\": \"", f.line);
-        esc(&f.msg, &mut out);
-        out.push_str("\"}");
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
 }
 
 /// Renders findings as a minimal SARIF 2.1.0 log (one run, one result per
@@ -138,16 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_structures() {
-        let j = render_json(&sample());
-        assert!(j.contains("\"rule\": \"no-float-eq\""));
-        assert!(j.contains("\\\"compare\\\"\\nuse epsilon"));
-        assert!(j.starts_with('[') && j.trim_end().ends_with(']'));
-    }
-
-    #[test]
-    fn json_empty_is_empty_array() {
-        assert_eq!(render_json(&[]), "[]\n");
+    fn sarif_escapes_messages() {
+        let s = render_sarif(&sample());
+        assert!(s.contains("bad \\\"compare\\\"\\nuse epsilon"), "{s}");
     }
 
     #[test]

@@ -1,546 +1,210 @@
-//! `cache-key-completeness`: every report-influencing config field must
-//! be part of the job cache key.
+//! `cache-key-completeness`: every job-spec field is part of the job
+//! cache key, by construction.
 //!
 //! The `gh-jobs` executor memoizes `RunReport`s keyed by a stable hash
-//! of `JobSpec::canonical_key()`. That is only sound if *every* field
-//! that can change a report is folded into the key — a field that
-//! steers the simulation but is missing from the key makes the cache
-//! serve stale results for the configs that differ in it, silently and
-//! deterministically.
+//! of `JobSpec::canonical_key()`. That is sound only if *every* field
+//! that can change a report is folded into the key — a field missing
+//! from the key makes the cache serve one config's report for another,
+//! silently and deterministically.
 //!
-//! The rule anchors on any `impl` providing a `canonical_key` method:
+//! The compiler proves completeness when the key opens with one
+//! exhaustive destructure of `self`:
 //!
-//! 1. **K** — the keyed set: field names read through `self` inside
-//!    `canonical_key` (nested reads like `self.session.trace` contribute
-//!    both `session` and `trace`).
-//! 2. **Audited structs** — the anchor struct plus the struct types of
-//!    its fields (one level deep; for `JobSpec` that pulls in
-//!    `SessionOptions`). `RuntimeOptions` is deliberately not audited
-//!    per-field: it is derived from keyed inputs (platform + session),
-//!    and the `SessionOptions -> RuntimeOptions` store path is covered.
-//! 3. **R** — the escaping set: audited fields whose read value
-//!    *escapes* the reading function — reaches a return, stored state,
-//!    a branch decision (control influence), a trace/checksum/report
-//!    sink, an output macro, or a call that consumes it per the
-//!    interprocedural summaries ([`crate::summary`]); calls with no
-//!    workspace candidate consume conservatively.
+//! ```text
+//! let Self { app, platform, ..., session: SessionOptions { trace, ... } } = self;
+//! ```
 //!
-//! Every field in `R \ K` is one finding, reported at the
-//! `canonical_key` definition with a representative read site.
-//! Functions that legitimately read fields without keying them
-//! (`canonical_key` itself, `stable_hash`, `fmt`/`eq`/`hash`-style
-//! trait plumbing) are exempt from the R-scan.
+//! With no `..` anywhere in the pattern, a new field fails to compile
+//! until it is bound, and a bound field left out of the key trips
+//! `unused_variables`, which CI's `clippy -D warnings` denies. This rule
+//! checks the shape that makes the proof hold: every `canonical_key` in
+//! lib/bin code must contain a `let <Struct> { ... } = self;` whose
+//! pattern has no rest (`..`) and no `_`-prefixed binding (which would
+//! silence the lint).
 
-use crate::ast::{self, Expr, FnDef};
-use crate::callgraph::for_each_graph_fn;
-use crate::dataflow::{self, Label, Labels, TaintEnv, TaintSpec};
-use crate::resolve::{expr_type_deep, fn_type_env, TypeEnv, Workspace};
-use crate::rules::{Finding, FlowRule};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Trace/telemetry sinks (same vocabulary as the summary layer).
-const TRACE_SINKS: [&str; 4] = ["emit", "count", "observe", "gauge"];
-
-/// Output macros: printing a config field is publishing it in a report.
-const OUTPUT_MACROS: [&str; 6] = ["print", "println", "eprint", "eprintln", "write", "writeln"];
-
-/// Functions whose field reads are definitionally not report flows.
-const EXEMPT_FNS: [&str; 10] = [
-    "canonical_key",
-    "stable_hash",
-    "fmt",
-    "hash",
-    "eq",
-    "ne",
-    "cmp",
-    "partial_cmp",
-    "clone",
-    "default",
-];
+use crate::lexer::Tok;
+use crate::rules::{Finding, Rule};
+use crate::source::{FileKind, SourceFile};
 
 /// See module docs.
 #[derive(Debug)]
 pub struct CacheKeyCompleteness;
 
-impl FlowRule for CacheKeyCompleteness {
+impl Rule for CacheKeyCompleteness {
     fn name(&self) -> &'static str {
         "cache-key-completeness"
     }
 
     fn describe(&self) -> &'static str {
-        "every config field that influences a report must appear in canonical_key"
+        "canonical_key destructures self exhaustively, so every spec field is keyed"
     }
 
-    fn check_workspace(&self, ws: &Workspace<'_>, out: &mut Vec<Finding>) {
-        // Anchors: `canonical_key` methods with a known impl type.
-        let mut anchors: Vec<(usize, String, u32)> = Vec::new();
-        for_each_graph_fn(ws.files, &ws.asts, &mut |_, fidx, impl_ty, fd| {
-            if fd.name == "canonical_key" {
-                if let Some(ty) = impl_ty {
-                    anchors.push((fidx, ty.to_string(), fd.line));
-                }
+    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
+        if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
+            return;
+        }
+        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
+        for (i, t) in code.iter().enumerate() {
+            let is_key_fn =
+                t.is_ident("fn") && code.get(i + 1).is_some_and(|n| n.is_ident("canonical_key"));
+            if !is_key_fn || file.in_test_mod(t.line) {
+                continue;
             }
-        });
-        for (anchor_fidx, anchor_ty, anchor_line) in anchors {
-            let Some(keyed) = keyed_fields(ws, anchor_fidx, &anchor_ty) else {
+            let Some(body) = fn_body(&code[i..]) else {
                 continue;
             };
-            let audited = audited_structs(ws, &anchor_ty);
-            let (escaped, reads) = escaping_reads(ws, &audited);
-            for (ty, fields) in &audited {
-                for field in fields {
-                    let key = format!("{ty}.{field}");
-                    if !escaped.contains(&key) || keyed.contains(field) {
-                        continue;
-                    }
-                    let site = reads
-                        .get(&key)
-                        .map(|(p, l)| format!(" (read at {p}:{l})"))
-                        .unwrap_or_default();
-                    out.push(Finding {
-                        rule: self.name(),
-                        path: ws.files[anchor_fidx].rel_path.clone(),
-                        line: anchor_line,
-                        msg: format!(
-                            "field `{field}` of `{ty}` influences run output{site} but is \
-                             missing from `{anchor_ty}::canonical_key` — a cached report \
-                             would be served for configs that differ in it; fold the \
-                             field into the key"
-                        ),
-                    });
-                }
+            if let Err(problem) = check_destructure(body) {
+                out.push(Finding {
+                    rule: self.name(),
+                    path: file.rel_path.clone(),
+                    line: t.line,
+                    msg: format!(
+                        "`canonical_key` {problem}; open it with one exhaustive \
+                         `let Self {{ a, b, nested: Inner {{ c, d }} }} = self;` \
+                         spelling every field (no `..`, no `_` bindings) so a new field \
+                         fails to compile and an unkeyed one trips `unused_variables`"
+                    ),
+                });
             }
         }
     }
 }
 
-/// Field names read through `self` inside the anchor's `canonical_key`.
-fn keyed_fields(
-    ws: &Workspace<'_>,
-    anchor_fidx: usize,
-    anchor_ty: &str,
-) -> Option<BTreeSet<String>> {
-    let mut keyed = None;
-    for_each_graph_fn(ws.files, &ws.asts, &mut |_, fidx, impl_ty, fd| {
-        if fidx != anchor_fidx || fd.name != "canonical_key" || impl_ty != Some(anchor_ty) {
-            return;
-        }
-        let mut set = BTreeSet::new();
-        if let Some(body) = &fd.body {
-            ast::walk_block(body, &mut |e| {
-                if let Expr::Field { name, .. } = e {
-                    if roots_at_self(e) {
-                        set.insert(name.clone());
-                    }
-                }
-            });
-        }
-        keyed = Some(set);
-    });
-    keyed
-}
-
-/// True when the field chain of `e` is rooted at `self`.
-fn roots_at_self(e: &Expr) -> bool {
-    match e {
-        Expr::Path { .. } => e.as_var() == Some("self"),
-        Expr::Field { recv, .. } | Expr::Index { recv, .. } | Expr::Unary { expr: recv, .. } => {
-            roots_at_self(recv)
-        }
-        _ => false,
-    }
-}
-
-/// The anchor struct plus struct types of its fields, with their field
-/// names (from the workspace-merged struct table).
-fn audited_structs(ws: &Workspace<'_>, anchor_ty: &str) -> BTreeMap<String, BTreeSet<String>> {
-    let mut out = BTreeMap::new();
-    let Some(anchor_fields) = ws.merged.get(anchor_ty) else {
-        return out;
-    };
-    out.insert(
-        anchor_ty.to_string(),
-        anchor_fields.keys().cloned().collect(),
-    );
-    for ftys in anchor_fields.values() {
-        for t in ftys {
-            if let Some(fields) = ws.merged.get(t) {
-                out.entry(t.clone())
-                    .or_insert_with(|| fields.keys().cloned().collect());
-            }
-        }
-    }
-    out
-}
-
-/// Scans every non-exempt graph function for audited-field reads whose
-/// value escapes. Returns the escaped `"Ty.field"` keys and, per key,
-/// the first read site.
-fn escaping_reads(
-    ws: &Workspace<'_>,
-    audited: &BTreeMap<String, BTreeSet<String>>,
-) -> (BTreeSet<String>, BTreeMap<String, (String, u32)>) {
-    let mut escaped = BTreeSet::new();
-    let mut reads = BTreeMap::new();
-    for_each_graph_fn(ws.files, &ws.asts, &mut |_, fidx, impl_ty, fd| {
-        if EXEMPT_FNS.contains(&fd.name.as_str()) {
-            return;
-        }
-        let mut spec = Spec {
-            ws,
-            fidx,
-            impl_ty,
-            tenv: fn_type_env(fd, &ws.fn_returns),
-            audited,
-            params: param_names(fd),
-            escaped: &mut escaped,
-            reads: &mut reads,
-        };
-        dataflow::run_fn(&mut spec, fd, TaintEnv::default());
-    });
-    (escaped, reads)
-}
-
-fn param_names(fd: &FnDef) -> BTreeSet<String> {
-    fd.params
+/// The tokens between the braces of the first body after `fn`; `None`
+/// for a bodyless declaration.
+fn fn_body<'a, 't>(code: &'a [&'t Tok]) -> Option<&'a [&'t Tok]> {
+    let open = code
         .iter()
-        .flat_map(|p| p.pats.iter().cloned())
-        .collect()
+        .position(|t| t.is_punct("{") || t.is_punct(";"))?;
+    if !code[open].is_punct("{") {
+        return None;
+    }
+    let close = matching_brace(code, open)?;
+    Some(&code[open + 1..close])
 }
 
-struct Spec<'w, 'a> {
-    ws: &'w Workspace<'a>,
-    fidx: usize,
-    impl_ty: Option<&'w str>,
-    tenv: TypeEnv,
-    audited: &'w BTreeMap<String, BTreeSet<String>>,
-    params: BTreeSet<String>,
-    escaped: &'w mut BTreeSet<String>,
-    reads: &'w mut BTreeMap<String, (String, u32)>,
+/// Index of the `}` closing the `{` at `open`.
+fn matching_brace(code: &[&Tok], open: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (j, t) in code.iter().enumerate().skip(open) {
+        if t.is_punct("{") {
+            depth += 1;
+        } else if t.is_punct("}") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
 }
 
-impl Spec<'_, '_> {
-    fn self_fields(&self) -> Option<&BTreeMap<String, Vec<String>>> {
-        self.impl_ty
-            .and_then(|ty| self.ws.tables[self.fidx].get(ty))
-    }
-
-    /// Struct-type identifiers of a receiver expression; `self` resolves
-    /// to the enclosing impl type.
-    fn recv_types(&self, e: &Expr) -> Vec<String> {
-        if e.as_var() == Some("self") {
-            return self
-                .impl_ty
-                .map(|t| vec![t.to_string()])
-                .unwrap_or_default();
+/// Finds `let Name { pattern } = self;` at the body's top level and
+/// checks that its pattern spells every field.
+fn check_destructure(body: &[&Tok]) -> Result<(), &'static str> {
+    let mut depth = 0i32;
+    for (i, t) in body.iter().enumerate() {
+        if t.is_punct("{") {
+            depth += 1;
+        } else if t.is_punct("}") {
+            depth -= 1;
         }
-        expr_type_deep(
-            e,
-            &self.tenv,
-            self.self_fields(),
-            &self.ws.fn_returns,
-            &self.ws.merged,
-        )
-    }
-
-    fn first_recv_type(&self, e: &Expr) -> Option<String> {
-        self.recv_types(e)
-            .into_iter()
-            .find(|i| i.chars().next().is_some_and(|c| c.is_ascii_uppercase()))
-    }
-
-    fn mark_escaped(&mut self, labels: &Labels) {
-        for l in labels {
-            if let Label::Field(key) = l {
-                if self.reads.contains_key(key) {
-                    self.escaped.insert(key.clone());
-                }
-            }
+        let opens_pattern =
+            depth == 0 && t.is_ident("let") && body.get(i + 2).is_some_and(|b| b.is_punct("{"));
+        if !opens_pattern {
+            continue;
         }
-    }
-
-    /// True when `e` is rooted at a plain local (non-parameter) variable.
-    fn local_root<'e>(&self, e: &'e Expr) -> Option<&'e str> {
-        fn root(e: &Expr) -> Option<&str> {
-            match e {
-                Expr::Path { .. } => e.as_var(),
-                Expr::Field { recv, .. }
-                | Expr::Index { recv, .. }
-                | Expr::Unary { expr: recv, .. } => root(recv),
-                _ => None,
-            }
-        }
-        let v = root(e)?;
-        (v != "self" && !self.params.contains(v)).then_some(v)
-    }
-}
-
-impl TaintSpec for Spec<'_, '_> {
-    fn field(&mut self, e: &Expr, recv: Labels, _env: &mut TaintEnv) -> Labels {
-        let Expr::Field {
-            recv: recv_e, name, ..
-        } = e
-        else {
-            return recv;
+        let Some(close) = matching_brace(body, i + 2) else {
+            continue;
         };
-        let mut out = recv;
-        for ty in self.recv_types(recv_e) {
-            if self
-                .audited
-                .get(&ty)
-                .is_some_and(|fields| fields.contains(name))
-            {
-                let key = format!("{ty}.{name}");
-                self.reads
-                    .entry(key.clone())
-                    .or_insert_with(|| (self.ws.files[self.fidx].rel_path.clone(), e.line()));
-                out.insert(Label::Field(key));
-            }
-        }
-        out
-    }
-
-    fn method(&mut self, e: &Expr, recv: Labels, args: &[Labels], _env: &mut TaintEnv) -> Labels {
-        let Expr::Method {
-            recv: recv_e, name, ..
-        } = e
-        else {
-            return args
-                .iter()
-                .fold(recv, |acc, a| dataflow::union(acc, a.clone()));
-        };
-        let mut slots = Vec::with_capacity(args.len() + 1);
-        slots.push(recv);
-        slots.extend(args.iter().cloned());
-        let all: Labels = slots.iter().cloned().fold(Labels::new(), dataflow::union);
-        if TRACE_SINKS.contains(&name.as_str()) || name.contains("checksum") {
-            self.mark_escaped(&all);
-            return Labels::new();
-        }
-        let recv_ty = self.first_recv_type(recv_e);
-        let consumed = self.ws.summaries.consumed_slots(
-            &self.ws.graph,
-            name,
-            recv_ty.as_deref(),
-            true,
-            slots.len(),
-        );
-        for (slot, used) in slots.iter().zip(&consumed) {
-            if *used {
-                let slot = slot.clone();
-                self.mark_escaped(&slot);
-            }
-        }
-        // The result carries only the labels the summary says flow into
-        // the callee's return value.
-        let ret = self.ws.summaries.ret_slots(
-            &self.ws.graph,
-            name,
-            recv_ty.as_deref(),
-            true,
-            slots.len(),
-        );
-        slots
-            .into_iter()
-            .zip(&ret)
-            .filter(|(_, r)| **r)
-            .map(|(s, _)| s)
-            .fold(Labels::new(), dataflow::union)
-    }
-
-    fn call(&mut self, e: &Expr, args: &[Labels], _env: &mut TaintEnv) -> Labels {
-        let all: Labels = args.iter().cloned().fold(Labels::new(), dataflow::union);
-        let Expr::Call { callee, .. } = e else {
-            return all;
-        };
-        let Expr::Path { segs, .. } = callee.as_ref() else {
-            // Unknown callable: conservative escape.
-            self.mark_escaped(&all);
-            return all;
-        };
-        let Some(name) = segs.last() else { return all };
-        if TRACE_SINKS.contains(&name.as_str()) || name.contains("checksum") {
-            self.mark_escaped(&all);
-            return Labels::new();
-        }
-        let qual_ty = (segs.len() >= 2).then(|| segs[segs.len() - 2].clone());
-        let consumed = self.ws.summaries.consumed_slots(
-            &self.ws.graph,
-            name,
-            qual_ty.as_deref(),
-            false,
-            args.len(),
-        );
-        for (slot, used) in args.iter().zip(&consumed) {
-            if *used {
-                let slot = slot.clone();
-                self.mark_escaped(&slot);
-            }
-        }
-        // The result carries only the labels the summary says flow into
-        // the callee's return value.
-        let ret = self.ws.summaries.ret_slots(
-            &self.ws.graph,
-            name,
-            qual_ty.as_deref(),
-            false,
-            args.len(),
-        );
-        args.iter()
-            .zip(&ret)
-            .filter(|(_, r)| **r)
-            .map(|(s, _)| s.clone())
-            .fold(Labels::new(), dataflow::union)
-    }
-
-    fn macro_call(&mut self, e: &Expr, args: &[Labels], _env: &mut TaintEnv) -> Labels {
-        let all: Labels = args.iter().cloned().fold(Labels::new(), dataflow::union);
-        if let Expr::Macro { name, .. } = e {
-            if OUTPUT_MACROS.contains(&name.as_str()) {
-                self.mark_escaped(&all);
-            }
-        }
-        all
-    }
-
-    fn struct_lit(&mut self, e: &Expr, fields: &[(String, Labels)], _env: &mut TaintEnv) -> Labels {
-        let all: Labels = fields
+        let rhs: Vec<&str> = body[close + 1..]
             .iter()
-            .map(|(_, l)| l.clone())
-            .fold(Labels::new(), dataflow::union);
-        if let Expr::StructLit { segs, .. } = e {
-            if segs.last().is_some_and(|s| s == "RunReport") {
-                self.mark_escaped(&all);
-            }
+            .take(3)
+            .map(|t| t.text.as_str())
+            .collect();
+        if rhs != ["=", "self", ";"] {
+            continue;
         }
-        all
-    }
-
-    fn on_branch(&mut self, _e: &Expr, labels: &Labels) {
-        let labels = labels.clone();
-        self.mark_escaped(&labels);
-    }
-
-    fn on_return(&mut self, _e: &Expr, labels: &Labels) {
-        let labels = labels.clone();
-        self.mark_escaped(&labels);
-    }
-
-    fn on_store(&mut self, lhs: &Expr, _rhs: &Expr, labels: &Labels, env: &mut TaintEnv) {
-        match self.local_root(lhs) {
-            Some(v) => {
-                let v = v.to_string();
-                env.add(&v, labels);
-            }
-            None => {
-                let labels = labels.clone();
-                self.mark_escaped(&labels);
-            }
+        let pattern = &body[i + 3..close];
+        if pattern.iter().any(|t| t.is_punct("..")) {
+            return Err("leaves fields out of its `self` destructure with `..`");
         }
+        if pattern.iter().any(|t| t.text.starts_with('_')) {
+            return Err("binds a field to `_` in its `self` destructure");
+        }
+        return Ok(());
     }
+    Err("reads `self` without an exhaustive destructure")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{FileKind, SourceFile};
 
     fn check(src: &str) -> Vec<Finding> {
-        let files = vec![SourceFile::parse(
-            "crates/gh-jobs/src/lib.rs",
-            "gh-jobs",
-            FileKind::Lib,
-            src,
-        )];
-        let ws = Workspace::build(&files);
+        let f = SourceFile::parse("crates/gh-jobs/src/lib.rs", "gh-jobs", FileKind::Lib, src);
         let mut out = Vec::new();
-        CacheKeyCompleteness.check_workspace(&ws, &mut out);
+        CacheKeyCompleteness.check_file(&f, &mut out);
         out
     }
 
-    const SPEC: &str = "pub struct Spec { pub app: u64, pub small: bool }\n";
-
-    #[test]
-    fn unkeyed_branch_field_fires() {
-        let src = format!(
-            "{SPEC}impl Spec {{ pub fn canonical_key(&self) -> String {{ format!(\"app={{}}\", self.app) }} }}\n\
-             pub fn run(spec: &Spec) -> u64 {{ if spec.small {{ 1 }} else {{ 2 }} }}"
-        );
-        let out = check(&src);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].msg.contains("`small`"));
-        assert!(out[0].msg.contains("canonical_key"));
+    fn key_fn(body: &str) -> String {
+        format!("impl Spec {{\n    pub fn canonical_key(&self) -> String {{ {body} }}\n}}")
     }
 
     #[test]
-    fn fully_keyed_spec_is_clean() {
-        let src = format!(
-            "{SPEC}impl Spec {{ pub fn canonical_key(&self) -> String {{ format!(\"app={{}};small={{}}\", self.app, self.small) }} }}\n\
-             pub fn run(spec: &Spec) -> u64 {{ if spec.small {{ spec.app }} else {{ 2 }} }}"
+    fn exhaustive_destructure_is_clean() {
+        let src = key_fn(
+            "let Self { app, session: Opts { trace, perf } } = self; \
+             format!(\"{app};{trace};{perf}\")",
         );
         assert!(check(&src).is_empty());
     }
 
     #[test]
-    fn unread_unkeyed_field_is_clean() {
-        // `small` is never read outside canonical_key: nothing escapes.
-        let src = format!(
-            "{SPEC}impl Spec {{ pub fn canonical_key(&self) -> String {{ format!(\"app={{}}\", self.app) }} }}\n\
-             pub fn run(spec: &Spec) -> u64 {{ spec.app }}"
-        );
-        assert!(check(&src).is_empty());
-    }
-
-    #[test]
-    fn nested_session_field_fires_once() {
-        let src = "pub struct Opts { pub trace: bool, pub perf: bool }\n\
-                   pub struct Spec { pub app: u64, pub session: Opts }\n\
-                   impl Spec { pub fn canonical_key(&self) -> String { format!(\"a={};t={}\", self.app, self.session.trace) } }\n\
-                   pub fn run(spec: &Spec) -> u64 { if spec.session.perf { 1 } else { 0 } }";
-        let out = check(src);
+    fn field_reads_without_destructure_fire() {
+        let out = check(&key_fn("format!(\"{}\", self.app)"));
         assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].msg.contains("`perf`"));
-        assert!(out[0].msg.contains("`Opts`"));
+        assert_eq!(out[0].line, 2);
+        assert!(out[0].msg.contains("without an exhaustive destructure"));
     }
 
     #[test]
-    fn flow_through_helper_call_fires() {
-        // The field value escapes only via a helper whose summary says
-        // the parameter reaches the return value.
-        let src = format!(
-            "{SPEC}impl Spec {{ pub fn canonical_key(&self) -> String {{ format!(\"app={{}}\", self.app) }} }}\n\
-             fn shape(x: bool) -> u64 {{ if x {{ 1 }} else {{ 0 }} }}\n\
-             pub fn run(spec: &Spec) -> u64 {{ shape(spec.small) }}"
-        );
-        let out = check(&src);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].msg.contains("`small`"));
+    fn rest_pattern_fires_at_any_depth() {
+        for pat in [
+            "Self { app, .. }",
+            "Self { app, session: Opts { trace, .. } }",
+        ] {
+            let out = check(&key_fn(&format!("let {pat} = self; format!(\"{{app}}\")")));
+            assert_eq!(out.len(), 1, "{pat}");
+            assert!(out[0].msg.contains("`..`"), "{}", out[0].msg);
+        }
     }
 
     #[test]
-    fn helper_that_ignores_the_field_is_clean() {
-        let src = format!(
-            "{SPEC}impl Spec {{ pub fn canonical_key(&self) -> String {{ format!(\"app={{}}\", self.app) }} }}\n\
-             fn drop_it(_x: bool) -> u64 {{ 7 }}\n\
-             pub fn run(spec: &Spec) -> u64 {{ drop_it(spec.small) }}"
-        );
-        assert!(check(&src).is_empty(), "summary proves the arg is dead");
+    fn underscore_bindings_fire() {
+        for pat in ["Self { app, small: _ }", "Self { app, small: _small }"] {
+            let out = check(&key_fn(&format!("let {pat} = self; format!(\"{{app}}\")")));
+            assert_eq!(out.len(), 1, "{pat}");
+            assert!(out[0].msg.contains("`_`"), "{}", out[0].msg);
+        }
     }
 
     #[test]
-    fn no_canonical_key_is_silent() {
-        let src = format!(
-            "{SPEC}pub fn run(spec: &Spec) -> u64 {{ if spec.small {{ 1 }} else {{ 0 }} }}"
-        );
-        assert!(check(&src).is_empty());
-    }
-
-    #[test]
-    fn printed_field_counts_as_output() {
-        let src = format!(
-            "{SPEC}impl Spec {{ pub fn canonical_key(&self) -> String {{ format!(\"app={{}}\", self.app) }} }}\n\
-             pub fn dump(spec: &Spec) {{ println!(\"{{}}\", spec.small); }}"
-        );
+    fn destructure_of_another_value_does_not_count() {
+        let src = key_fn("let Opts { trace, perf } = &self.session; format!(\"{trace}{perf}\")");
         assert_eq!(check(&src).len(), 1);
+    }
+
+    #[test]
+    fn other_fns_and_test_mods_are_out_of_scope() {
+        assert!(
+            check("impl Spec { pub fn label(&self) -> String { self.app.clone() } }").is_empty()
+        );
+        let in_test = format!(
+            "#[cfg(test)]\nmod tests {{\n{}\n}}",
+            key_fn("String::new()")
+        );
+        assert!(check(&in_test).is_empty());
     }
 }

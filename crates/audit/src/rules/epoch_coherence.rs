@@ -29,7 +29,7 @@
 use crate::ast::{self, Expr, FnDef};
 use crate::callgraph::for_each_graph_fn;
 use crate::resolve::{StructTable, Workspace};
-use crate::rules::{Finding, FlowRule};
+use crate::rules::{Finding, Rule};
 use crate::source::FileKind;
 
 /// Effect bit: the fn (transitively) mutates page placement.
@@ -47,7 +47,7 @@ const EPOCH_FIELDS: [&str; 2] = ["epoch", "placement_epoch"];
 #[derive(Debug)]
 pub struct EpochCoherence;
 
-impl FlowRule for EpochCoherence {
+impl Rule for EpochCoherence {
     fn name(&self) -> &'static str {
         "epoch-coherence"
     }

@@ -39,7 +39,7 @@
 use crate::ast::{self, Block, Expr, Stmt};
 use crate::callgraph::for_each_graph_fn;
 use crate::resolve::{expr_type_deep, fn_type_env, TypeEnv, Workspace};
-use crate::rules::{Finding, FlowRule};
+use crate::rules::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Wrapper methods peeled between a binding and its `.lock()`.
@@ -72,7 +72,7 @@ const MAX_ITERS: usize = 64;
 #[derive(Debug)]
 pub struct LockDiscipline;
 
-impl FlowRule for LockDiscipline {
+impl Rule for LockDiscipline {
     fn name(&self) -> &'static str {
         "lock-discipline"
     }

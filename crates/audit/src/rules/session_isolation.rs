@@ -1,15 +1,21 @@
-//! `session-isolation`: no session handle may escape its session.
+//! `session-isolation`: per-run state lives on the run's `SessionCtx`.
 //!
-//! PR 9's determinism story is that every run owns a private
-//! `SessionCtx` — a `Bus`, a `Perf`, and `Rc`-shared model state — so
-//! concurrent jobs on the worker pool cannot observe each other. The
+//! Every run owns a private `SessionCtx` — a `Bus`, a `Perf`, and
+//! `Rc`-shared model state — so concurrent jobs on the worker pool
+//! cannot observe each other and the `gh-jobs` executor can run the whole
+//! experiment matrix in one process with bitwise-identical reports. The
 //! compiler enforces part of this (`Rc` is `!Send`), but only at the
-//! real `std::thread` boundary: a handle smuggled into a pool-task
-//! closure that happens to run on the submitting thread, stashed in a
-//! `static`, or stored into *another* session's context would
-//! type-check in several near-miss designs and corrupt isolation
-//! silently. This rule closes the three escape hatches:
+//! real `std::thread` boundary. This rule closes the remaining holes:
 //!
+//! 0. **ambient state** — library code may not introduce
+//!    `thread_local!`, `static mut`, `OnceLock`/`LazyLock` cells, or
+//!    environment reads (`std::env::var*`). Configuration flows in
+//!    through `SessionOptions`; env vars are honored only at the CLI/bench
+//!    boundary. Exempt: bin/bench/test/example targets (they *are* the
+//!    boundary), the `gh-bench` harness crate (its `util` module turns
+//!    `GH_*` variables into `SessionOptions`), and
+//!    `crates/par/src/pool.rs`, whose process-wide work-stealing pool is
+//!    shared *compute*, not per-run state.
 //! 1. **pool-closure captures** — a closure passed to a spawn-like
 //!    method must not reference a handle-typed variable bound outside
 //!    the closure. Constructing a fresh session *inside* the task (the
@@ -31,8 +37,8 @@
 use crate::ast::{self, Expr, FnDef, Stmt};
 use crate::callgraph::for_each_graph_fn;
 use crate::resolve::{expr_type_deep, fn_type_env, TypeEnv, Workspace};
-use crate::rules::{Finding, FlowRule};
-use crate::source::FileKind;
+use crate::rules::{Finding, Rule};
+use crate::source::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-session handle types. `Arc` is deliberately absent: `Arc`-shared
@@ -43,6 +49,15 @@ const HANDLE_TYPES: [&str; 4] = ["Bus", "Perf", "SessionCtx", "Rc"];
 /// Methods that move a closure onto pool/worker threads.
 const SPAWN_METHODS: [&str; 3] = ["spawn", "execute", "broadcast"];
 
+/// Crates that are entirely boundary code.
+const AMBIENT_EXEMPT_CRATES: [&str; 1] = ["gh-bench"];
+
+/// Specific sanctioned files (workspace-relative suffix match).
+const AMBIENT_EXEMPT_PATHS: [&str; 1] = ["par/src/pool.rs"];
+
+/// Cell types whose appearance in a lib file means process-wide state.
+const BANNED_CELLS: [&str; 2] = ["OnceLock", "LazyLock"];
+
 /// See module docs.
 #[derive(Debug)]
 pub struct SessionIsolation;
@@ -51,16 +66,72 @@ fn is_handle(idents: &[String]) -> bool {
     idents.iter().any(|i| HANDLE_TYPES.contains(&i.as_str()))
 }
 
-impl FlowRule for SessionIsolation {
+impl Rule for SessionIsolation {
     fn name(&self) -> &'static str {
         "session-isolation"
     }
 
     fn describe(&self) -> &'static str {
-        "Bus/Perf/Rc session handles must not reach statics, pool closures, or other sessions"
+        "per-run state lives on the SessionCtx: no ambient statics or env reads in model \
+         crates; Bus/Perf/Rc handles never reach statics, pool closures, or other sessions"
+    }
+    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
+        if file.kind != FileKind::Lib {
+            return; // bins/benches/tests/examples are the boundary
+        }
+        if AMBIENT_EXEMPT_CRATES.contains(&file.crate_name.as_str())
+            || AMBIENT_EXEMPT_PATHS
+                .iter()
+                .any(|p| file.rel_path.ends_with(p))
+        {
+            return;
+        }
+        let code: Vec<_> = file.code_tokens().collect();
+        for (pos, (_, t)) in code.iter().enumerate() {
+            if file.in_test_mod(t.line) {
+                continue;
+            }
+            let next_is = |what: &str| {
+                code.get(pos + 1)
+                    .map(|(_, n)| n.is_punct(what) || n.is_ident(what))
+                    .unwrap_or(false)
+            };
+            let offense = if t.is_ident("thread_local") && next_is("!") {
+                Some("`thread_local!` is per-thread ambient state")
+            } else if t.is_ident("static") && next_is("mut") {
+                Some("`static mut` is process-wide mutable state")
+            } else if BANNED_CELLS.iter().any(|b| t.is_ident(b)) {
+                Some("a process-wide lazy cell latches state across runs")
+            } else if t.is_ident("env")
+                && next_is("::")
+                && code
+                    .get(pos + 2)
+                    .map(|(_, n)| n.is_ident("var") || n.is_ident("var_os") || n.is_ident("vars"))
+                    .unwrap_or(false)
+            {
+                Some("library code must not read the environment")
+            } else {
+                None
+            };
+            if let Some(why) = offense {
+                out.push(Finding {
+                    rule: self.name(),
+                    path: file.rel_path.clone(),
+                    line: t.line,
+                    msg: format!(
+                        "{why}; thread per-run configuration and collectors through \
+                         SessionCtx/SessionOptions instead (env vars are honored only at \
+                         the CLI/bench boundary)"
+                    ),
+                });
+            }
+        }
     }
 
     fn check_workspace(&self, ws: &Workspace<'_>, out: &mut Vec<Finding>) {
+        for file in ws.files {
+            self.check_file(file, out);
+        }
         // (2) handle-typed statics, token-level (`'static` lifetimes lex
         // as Lifetime tokens, so they never match the `static` ident).
         for file in ws.files {
@@ -402,5 +473,84 @@ mod tests {
             check(src).is_empty(),
             "rebinding within one session is fine"
         );
+    }
+
+    fn run_at(path: &str, crate_name: &str, kind: FileKind, src: &str) -> Vec<Finding> {
+        let f = SourceFile::parse(path, crate_name, kind, src);
+        let mut out = Vec::new();
+        SessionIsolation.check_file(&f, &mut out);
+        out
+    }
+
+    fn run(kind: FileKind, src: &str) -> Vec<Finding> {
+        run_at("c/src/lib.rs", "gh-mem", kind, src)
+    }
+
+    #[test]
+    fn thread_local_in_lib_fires() {
+        let out = run(
+            FileKind::Lib,
+            "thread_local! { static S: RefCell<u32> = RefCell::new(0); }",
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, "session-isolation");
+    }
+
+    #[test]
+    fn lazy_cells_fire() {
+        assert_eq!(
+            run(
+                FileKind::Lib,
+                "static ON: OnceLock<bool> = OnceLock::new();"
+            )
+            .len(),
+            2, // both mentions of the cell type
+        );
+        assert_eq!(run(FileKind::Lib, "use std::sync::LazyLock;").len(), 1);
+    }
+
+    #[test]
+    fn static_mut_fires_but_plain_static_does_not() {
+        assert_eq!(run(FileKind::Lib, "static mut X: u32 = 0;").len(), 1);
+        assert!(run(FileKind::Lib, "static X: u32 = 0;").is_empty());
+        // A local named `static_mut` or the words in a string are fine.
+        assert!(run(FileKind::Lib, "let s = \"static mut\";").is_empty());
+    }
+
+    #[test]
+    fn env_reads_fire_in_lib_only() {
+        let src = "let v = std::env::var(\"GH_TRACE\");";
+        assert_eq!(run(FileKind::Lib, src).len(), 1);
+        assert!(run(FileKind::Bin, src).is_empty());
+        assert!(run(FileKind::Bench, src).is_empty());
+        assert!(run(FileKind::Test, src).is_empty());
+    }
+
+    #[test]
+    fn env_module_mention_alone_is_fine() {
+        assert!(run(FileKind::Lib, "use std::env;").is_empty());
+        assert!(run(FileKind::Lib, "let env = 3; let x = env + 1;").is_empty());
+    }
+
+    #[test]
+    fn sanctioned_boundaries_are_exempt() {
+        let src = "static POOL: OnceLock<Pool> = OnceLock::new();";
+        assert!(run_at("crates/par/src/pool.rs", "gh-par", FileKind::Lib, src).is_empty());
+        let env_src = "let v = std::env::var(\"GH_FAST\");";
+        assert!(run_at(
+            "crates/bench/src/lib.rs",
+            "gh-bench",
+            FileKind::Lib,
+            env_src
+        )
+        .is_empty());
+        // The same pool code elsewhere in gh-par still fires.
+        assert!(!run_at("crates/par/src/lib.rs", "gh-par", FileKind::Lib, src).is_empty());
+    }
+
+    #[test]
+    fn ambient_state_in_test_mods_is_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n fn t() { let v = std::env::var(\"X\"); }\n}\n";
+        assert!(run(FileKind::Lib, src).is_empty());
     }
 }

@@ -12,15 +12,31 @@
 //! the exporter never names by its identifier is a finding at the first
 //! use site.
 
-use crate::rules::Finding;
+use crate::resolve::Workspace;
+use crate::rules::{Finding, Rule};
 use crate::source::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Rule name (workspace rule; not part of the per-file registry).
-pub const NAME: &str = "trace-coverage";
+/// See module docs.
+#[derive(Debug)]
+pub struct TraceCoverage;
+
+impl Rule for TraceCoverage {
+    fn name(&self) -> &'static str {
+        "trace-coverage"
+    }
+
+    fn describe(&self) -> &'static str {
+        "every emitted gh-trace event kind is named by an exporter"
+    }
+
+    fn check_workspace(&self, ws: &Workspace<'_>, out: &mut Vec<Finding>) {
+        check_files(ws.files, out);
+    }
+}
 
 /// Runs the cross-file check over all parsed workspace files.
-pub fn check_workspace(files: &[SourceFile], out: &mut Vec<Finding>) {
+fn check_files(files: &[SourceFile], out: &mut Vec<Finding>) {
     let Some(enum_file) = files
         .iter()
         .find(|f| f.rel_path.ends_with("src/event.rs") && declares_event_enum(f))
@@ -58,7 +74,7 @@ pub fn check_workspace(files: &[SourceFile], out: &mut Vec<Finding>) {
         }
         if !exporter_names.contains(&variant) {
             out.push(Finding {
-                rule: NAME,
+                rule: "trace-coverage",
                 path,
                 line,
                 msg: format!(
@@ -167,7 +183,7 @@ mod tests {
             ),
         ];
         let mut out = Vec::new();
-        check_workspace(&files, &mut out);
+        check_files(&files, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].msg.contains("TlbEvict"));
         assert_eq!(out[0].path, "crates/mem/src/tlb.rs");
@@ -189,7 +205,7 @@ mod tests {
             ),
         ];
         let mut out = Vec::new();
-        check_workspace(&files, &mut out);
+        check_files(&files, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -207,7 +223,7 @@ mod tests {
     fn no_event_enum_means_no_findings() {
         let files = vec![sf("crates/mem/src/tlb.rs", FileKind::Lib, "fn f() {}")];
         let mut out = Vec::new();
-        check_workspace(&files, &mut out);
+        check_files(&files, &mut out);
         assert!(out.is_empty());
     }
 }

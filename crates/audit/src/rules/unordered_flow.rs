@@ -24,7 +24,7 @@ use crate::ast::Expr;
 use crate::callgraph::for_each_graph_fn;
 use crate::dataflow::{self, Labels, TaintEnv, TaintSpec};
 use crate::resolve::{expr_type, fn_type_env, mentions_hash, Workspace};
-use crate::rules::{Finding, FlowRule};
+use crate::rules::{Finding, Rule};
 
 /// The taint label for hash-ordered values.
 const HASH: &str = "hash";
@@ -77,7 +77,7 @@ const FORMAT_MACROS: [&str; 7] = [
 #[derive(Debug)]
 pub struct UnorderedIterFlow;
 
-impl FlowRule for UnorderedIterFlow {
+impl Rule for UnorderedIterFlow {
     fn name(&self) -> &'static str {
         "unordered-iter-flow"
     }

@@ -34,7 +34,7 @@ const SEEDED: [(&str, u32, &str); 25] = [
     (JOBS, 58, "lock-discipline"),
     (MEM, 6, "no-wall-clock"),
     (MEM, 16, "typed-units"),
-    (MEM, 17, "no-unchecked-accounting-arithmetic"),
+    (MEM, 17, "typed-units"),
     (MEM, 27, "unordered-iter-flow"),
     (MEM, 31, "no-wall-clock"),
     (MEM, 32, "no-wall-clock"),
@@ -44,15 +44,15 @@ const SEEDED: [(&str, u32, &str); 25] = [
     (MEM, 53, "no-platform-leak"),
     (MEM, 59, "typed-units"),
     (MEM, 59, "typed-units"),
-    (MEM, 67, "no-raw-unit-cast"),
-    (MEM, 67, "no-raw-unit-cast"),
+    (MEM, 67, "typed-units"),
+    (MEM, 67, "typed-units"),
     (MEM, 80, "epoch-coherence"),
-    (MEM, 94, "unit-launder-flow"),
-    (MEM, 101, "no-ambient-state"),
-    (MEM, 105, "no-ambient-state"),
-    (MEM, 108, "no-ambient-state"),
-    (MEM, 109, "no-ambient-state"),
-    (PERF, 26, "wall-clock-taint"),
+    (MEM, 94, "typed-units"),
+    (MEM, 101, "session-isolation"),
+    (MEM, 105, "session-isolation"),
+    (MEM, 108, "session-isolation"),
+    (MEM, 109, "session-isolation"),
+    (PERF, 26, "no-wall-clock"),
     (TRACE, 10, "trace-coverage"),
 ];
 
@@ -159,14 +159,19 @@ fn seeded_fixture_fires_trace_coverage() {
 
 #[test]
 fn seeded_fixture_fires_cache_key_completeness() {
-    // `JobSpec::canonical_key` omits `session.perf`, which steers
-    // `run_job`; the finding anchors at the key definition.
+    // `JobSpec::canonical_key` reads `self.session.trace` field by field
+    // instead of destructuring `self`, so the compiler cannot prove that
+    // `session.perf` is keyed; the finding anchors at the key definition.
     let f = audit("seeded");
     let hits = rule_hits(&f, "cache-key-completeness");
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert!(hits[0].path.contains("gh-jobs/src/lib.rs"));
-    assert!(hits[0].msg.contains("`perf`"), "{}", hits[0].msg);
     assert!(hits[0].msg.contains("canonical_key"), "{}", hits[0].msg);
+    assert!(
+        hits[0].msg.contains("exhaustive destructure"),
+        "{}",
+        hits[0].msg
+    );
 }
 
 #[test]

