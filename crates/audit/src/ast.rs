@@ -1,11 +1,11 @@
 //! A small Rust AST, built by recursive descent over the [`crate::lexer`]
 //! token stream.
 //!
-//! This is the v2 engine's middle layer: where the v1 rules pattern-matched
-//! raw tokens, the flow rules (`epoch-coherence`, `unit-launder-flow`,
-//! `wall-clock-taint`, `unordered-iter-flow`) need *structure* — which
-//! expression is an argument of which call, what a `let` binds, where a
-//! function body ends. The parser is deliberately partial: it understands
+//! This is the engine's middle layer: where token checks pattern-match
+//! raw tokens, the flow checks (`epoch-coherence`, `unordered-iter-flow`,
+//! and the dataflow halves of `typed-units` and `no-wall-clock`) need
+//! *structure* — which expression is an argument of which call, what a
+//! `let` binds, where a function body ends. The parser is deliberately partial: it understands
 //! items (fns, impls, mods, structs), statements, and the expression forms
 //! the dataflow pass interprets, and degrades everything else to
 //! [`Expr::Opaque`] without ever failing. Like the lexer, it must accept
@@ -28,8 +28,8 @@ pub enum Item {
     Fn(FnDef),
     /// An `impl` (or `trait`) block and the items inside it.
     Impl(ImplDef),
-    /// A `mod name { ... }` block.
-    Mod(ModDef),
+    /// The items of an inline `mod name { ... }` block.
+    Mod(Vec<Item>),
     /// A struct definition with named fields.
     Struct(StructDef),
 }
@@ -42,19 +42,6 @@ pub struct ImplDef {
     pub type_name: String,
     /// Items inside the block.
     pub items: Vec<Item>,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-}
-
-/// A `mod name { ... }` item (inline only; `mod name;` has no body).
-#[derive(Debug)]
-pub struct ModDef {
-    /// Module name.
-    pub name: String,
-    /// Items inside the module.
-    pub items: Vec<Item>,
-    /// 1-based line of the `mod` keyword.
-    pub line: u32,
 }
 
 /// A struct with named fields (tuple and unit structs parse to an empty
@@ -65,8 +52,6 @@ pub struct StructDef {
     pub name: String,
     /// `(field_name, identifiers appearing in the field's type)`.
     pub fields: Vec<(String, Vec<String>)>,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
 }
 
 /// A function definition.
@@ -74,8 +59,6 @@ pub struct StructDef {
 pub struct FnDef {
     /// Function name.
     pub name: String,
-    /// Whether the declaration carries `pub` (any visibility form).
-    pub is_pub: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Parameters in order.
@@ -118,8 +101,6 @@ pub enum Stmt {
         ty: Vec<String>,
         /// Initializer, if present.
         init: Option<Expr>,
-        /// 1-based line of the `let`.
-        line: u32,
     },
     /// An expression statement (with or without `;`).
     Expr(Expr),
@@ -146,12 +127,8 @@ pub enum Expr {
         /// Source line.
         line: u32,
     },
-    /// Any literal (int/float/string/char).
-    Lit {
-        /// Source line.
-        line: u32,
-    },
-    /// Prefix `&`/`&mut`/`*`/`-`/`!`.
+    /// Prefix `&`/`&mut`/`*`/`-`/`!`, or a cast `expr as Type` (the
+    /// target type is not modelled).
     Unary {
         /// Operand.
         expr: Box<Expr>,
@@ -177,15 +154,6 @@ pub enum Expr {
         lhs: Box<Expr>,
         /// Assigned value.
         rhs: Box<Expr>,
-        /// Source line.
-        line: u32,
-    },
-    /// `expr as Type`.
-    Cast {
-        /// Operand.
-        expr: Box<Expr>,
-        /// Identifiers in the target type.
-        ty: Vec<String>,
         /// Source line.
         line: u32,
     },
@@ -249,16 +217,9 @@ pub enum Expr {
         /// Source line.
         line: u32,
     },
-    /// `(a, b, ...)`.
-    Tuple {
+    /// A tuple `(a, b, ...)` or array `[a, b, ...]` / `[x; n]`.
+    List {
         /// Elements.
-        items: Vec<Expr>,
-        /// Source line.
-        line: u32,
-    },
-    /// `[a, b, ...]` or `[x; n]`.
-    Array {
-        /// Elements (both forms).
         items: Vec<Expr>,
         /// Source line.
         line: u32,
@@ -303,19 +264,13 @@ pub enum Expr {
         /// Source line.
         line: u32,
     },
-    /// `while [let pat =] cond { body }`.
+    /// `while [let pat =] cond { body }`, or `loop { body }` with an
+    /// opaque condition.
     While {
         /// Binding identifiers when this is `while let`.
         pat: Vec<String>,
         /// Condition.
         cond: Box<Expr>,
-        /// Loop body.
-        body: Block,
-        /// Source line.
-        line: u32,
-    },
-    /// `loop { body }`.
-    Loop {
         /// Loop body.
         body: Block,
         /// Source line.
@@ -345,7 +300,7 @@ pub enum Expr {
         /// Source line.
         line: u32,
     },
-    /// Anything the parser does not model.
+    /// A literal, or anything else the parser does not model.
     Opaque {
         /// Source line.
         line: u32,
@@ -357,25 +312,21 @@ impl Expr {
     pub fn line(&self) -> u32 {
         match self {
             Expr::Path { line, .. }
-            | Expr::Lit { line }
             | Expr::Unary { line, .. }
             | Expr::Binary { line, .. }
             | Expr::Assign { line, .. }
-            | Expr::Cast { line, .. }
             | Expr::Call { line, .. }
             | Expr::Method { line, .. }
             | Expr::Field { line, .. }
             | Expr::Index { line, .. }
             | Expr::StructLit { line, .. }
             | Expr::Macro { line, .. }
-            | Expr::Tuple { line, .. }
-            | Expr::Array { line, .. }
+            | Expr::List { line, .. }
             | Expr::BlockExpr { line, .. }
             | Expr::If { line, .. }
             | Expr::Match { line, .. }
             | Expr::For { line, .. }
             | Expr::While { line, .. }
-            | Expr::Loop { line, .. }
             | Expr::Closure { line, .. }
             | Expr::Ret { line, .. }
             | Expr::Break { line, .. }
@@ -569,10 +520,8 @@ impl<'a> Parser<'a> {
 
     /// Parses one item, or consumes one token on unrecognized input.
     fn parse_item(&mut self) -> Option<Item> {
-        let mut is_pub = false;
         loop {
             if self.eat_ident("pub") {
-                is_pub = true;
                 if self.at_punct("(") {
                     self.skip_balanced("(", ")");
                 }
@@ -610,7 +559,7 @@ impl<'a> Parser<'a> {
         }
         let t = self.peek()?;
         if t.is_ident("fn") {
-            return Some(Item::Fn(self.parse_fn(is_pub)));
+            return Some(Item::Fn(self.parse_fn()));
         }
         if t.is_ident("struct") {
             return self.parse_struct().map(Item::Struct);
@@ -653,7 +602,7 @@ impl<'a> Parser<'a> {
         None
     }
 
-    fn parse_fn(&mut self, is_pub: bool) -> FnDef {
+    fn parse_fn(&mut self) -> FnDef {
         let line = self.line();
         self.eat_ident("fn");
         let name = self
@@ -700,7 +649,6 @@ impl<'a> Parser<'a> {
         };
         FnDef {
             name,
-            is_pub,
             line,
             params,
             ret,
@@ -747,7 +695,6 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_struct(&mut self) -> Option<StructDef> {
-        let line = self.line();
         self.eat_ident("struct");
         let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
         if self.at_punct("<") {
@@ -809,11 +756,10 @@ impl<'a> Parser<'a> {
         } else {
             self.eat_punct(";");
         }
-        Some(StructDef { name, fields, line })
+        Some(StructDef { name, fields })
     }
 
     fn parse_impl(&mut self) -> ImplDef {
-        let line = self.line();
         let _ = self.eat_ident("impl") || self.eat_ident("trait");
         if self.at_punct("<") {
             self.skip_angles();
@@ -852,26 +798,18 @@ impl<'a> Parser<'a> {
         } else {
             Vec::new()
         };
-        ImplDef {
-            type_name,
-            items,
-            line,
-        }
+        ImplDef { type_name, items }
     }
 
-    fn parse_mod(&mut self) -> Option<ModDef> {
-        let line = self.line();
+    fn parse_mod(&mut self) -> Option<Vec<Item>> {
         self.eat_ident("mod");
-        let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
-        if self.eat_punct(";") {
-            return None;
-        }
+        self.bump(); // name
         if !self.eat_punct("{") {
-            return None;
+            return None; // `mod name;`
         }
         let items = self.parse_items(false);
         self.eat_punct("}");
-        Some(ModDef { name, items, line })
+        Some(items)
     }
 
     // ------------------------------------------------------- statements --
@@ -929,7 +867,6 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_let(&mut self) -> Stmt {
-        let line = self.line();
         self.eat_ident("let");
         let pats = self.parse_pattern(&[":", "=", ";"]);
         let mut ty = Vec::new();
@@ -962,12 +899,7 @@ impl<'a> Parser<'a> {
             self.skip_balanced("{", "}");
         }
         self.eat_punct(";");
-        Stmt::Let {
-            pats,
-            ty,
-            init,
-            line,
-        }
+        Stmt::Let { pats, ty, init }
     }
 
     /// Collects binding identifiers of a pattern, consuming tokens until
@@ -1055,36 +987,27 @@ impl<'a> Parser<'a> {
 
     fn parse_range(&mut self, ns: bool) -> Expr {
         let line = self.line();
-        if self.at_punct("..") || self.at_punct("..=") {
-            let op = self.bump().map(|t| t.text.clone()).unwrap_or_default();
-            let rhs = if self.expr_can_start() {
-                self.parse_binary(0, ns)
-            } else {
-                Expr::Opaque { line }
-            };
-            return Expr::Binary {
-                op,
-                lhs: Box::new(Expr::Opaque { line }),
-                rhs: Box::new(rhs),
-                line,
-            };
+        let is_range = |p: &Self| p.at_punct("..") || p.at_punct("..=");
+        let lhs = if is_range(self) {
+            Expr::Opaque { line }
+        } else {
+            self.parse_binary(0, ns)
+        };
+        if !is_range(self) {
+            return lhs;
         }
-        let lhs = self.parse_binary(0, ns);
-        if self.at_punct("..") || self.at_punct("..=") {
-            let op = self.bump().map(|t| t.text.clone()).unwrap_or_default();
-            let rhs = if self.expr_can_start() {
-                self.parse_binary(0, ns)
-            } else {
-                Expr::Opaque { line }
-            };
-            return Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
+        let op = self.bump().map(|t| t.text.clone()).unwrap_or_default();
+        let rhs = if self.expr_can_start() {
+            self.parse_binary(0, ns)
+        } else {
+            Expr::Opaque { line }
+        };
+        Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+            line,
         }
-        lhs
     }
 
     /// Precedence-climbing binary parser. Levels, loosest first:
@@ -1127,28 +1050,22 @@ impl<'a> Parser<'a> {
         while self.at_ident("as") {
             let line = self.line();
             self.pos += 1;
-            let mut ty = Vec::new();
+            // Skip the target type (paths, generics, raw pointers).
             while let Some(t) = self.peek() {
-                if t.kind == TokKind::Ident
-                    && !NON_BINDING.contains(&t.text.as_str())
-                    && t.text != "as"
-                {
-                    ty.push(t.text.clone());
-                    self.pos += 1;
-                } else if t.is_punct("::") || t.is_ident("dyn") {
+                let type_tok = (t.kind == TokKind::Ident
+                    && !NON_BINDING.contains(&t.text.as_str()))
+                    || ["::", "*"].iter().any(|p| t.is_punct(p))
+                    || ["dyn", "const", "mut"].iter().any(|k| t.is_ident(k));
+                if type_tok {
                     self.pos += 1;
                 } else if t.is_punct("<") {
                     self.skip_angles();
-                } else if t.is_punct("*") || t.is_ident("const") || t.is_ident("mut") {
-                    // raw pointer types
-                    self.pos += 1;
                 } else {
                     break;
                 }
             }
-            e = Expr::Cast {
+            e = Expr::Unary {
                 expr: Box::new(e),
-                ty,
                 line,
             };
         }
@@ -1294,6 +1211,26 @@ impl<'a> Parser<'a> {
         args
     }
 
+    /// Parses a `[a, b]` / `[x; n]` element list (cursor on `[`).
+    fn parse_bracketed(&mut self) -> Vec<Expr> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        loop {
+            if self.eat_punct("]") || self.peek().is_none() {
+                break;
+            }
+            let before = self.pos;
+            items.push(self.parse_expr(false));
+            if self.pos == before {
+                self.pos += 1;
+            }
+            if !self.eat_punct(",") {
+                self.eat_punct(";"); // [x; n] repeat form
+            }
+        }
+        items
+    }
+
     /// Skips `<...>` collecting the identifiers inside (cursor on `<`).
     fn collect_angles_idents(&mut self) -> Vec<String> {
         let mut out = Vec::new();
@@ -1327,7 +1264,7 @@ impl<'a> Parser<'a> {
         match t.kind {
             TokKind::Int | TokKind::Float | TokKind::Str => {
                 self.pos += 1;
-                Expr::Lit { line }
+                Expr::Opaque { line }
             }
             TokKind::Lifetime => {
                 // Loop label `'a: loop { ... }` — consume and retry.
@@ -1356,27 +1293,13 @@ impl<'a> Parser<'a> {
                     if items.len() == 1 && !trailing_comma {
                         items.pop().unwrap_or(Expr::Opaque { line })
                     } else {
-                        Expr::Tuple { items, line }
+                        Expr::List { items, line }
                     }
                 }
-                "[" => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    loop {
-                        if self.eat_punct("]") || self.peek().is_none() {
-                            break;
-                        }
-                        let before = self.pos;
-                        items.push(self.parse_expr(false));
-                        if self.pos == before {
-                            self.pos += 1;
-                        }
-                        if !self.eat_punct(",") {
-                            self.eat_punct(";"); // [x; n] repeat form
-                        }
-                    }
-                    Expr::Array { items, line }
-                }
+                "[" => Expr::List {
+                    items: self.parse_bracketed(),
+                    line,
+                },
                 "{" => {
                     let block = self.parse_block();
                     Expr::BlockExpr { block, line }
@@ -1551,7 +1474,12 @@ impl<'a> Parser<'a> {
             "loop" => {
                 self.pos += 1;
                 let body = self.parse_block();
-                Expr::Loop { body, line }
+                Expr::While {
+                    pat: Vec::new(),
+                    cond: Box::new(Expr::Opaque { line }),
+                    body,
+                    line,
+                }
             }
             "unsafe" | "async" => {
                 self.pos += 1;
@@ -1627,20 +1555,7 @@ impl<'a> Parser<'a> {
                     let args = if self.at_punct("(") {
                         self.parse_args()
                     } else if self.at_punct("[") {
-                        self.pos += 1;
-                        let mut args = Vec::new();
-                        loop {
-                            if self.eat_punct("]") || self.peek().is_none() {
-                                break;
-                            }
-                            let before = self.pos;
-                            args.push(self.parse_expr(false));
-                            if self.pos == before {
-                                self.pos += 1;
-                            }
-                            self.eat_punct(",");
-                        }
-                        args
+                        self.parse_bracketed()
                     } else {
                         self.skip_balanced("{", "}");
                         Vec::new()
@@ -1765,8 +1680,8 @@ fn split_colon(toks: &[&Tok]) -> Option<usize> {
 pub fn walk_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
     f(expr);
     match expr {
-        Expr::Path { .. } | Expr::Lit { .. } | Expr::Opaque { .. } => {}
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => walk_expr(expr, f),
+        Expr::Path { .. } | Expr::Opaque { .. } => {}
+        Expr::Unary { expr, .. } => walk_expr(expr, f),
         Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
             walk_expr(lhs, f);
             walk_expr(rhs, f);
@@ -1793,14 +1708,12 @@ pub fn walk_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
                 walk_expr(e, f);
             }
         }
-        Expr::Macro { args, .. }
-        | Expr::Tuple { items: args, .. }
-        | Expr::Array { items: args, .. } => {
+        Expr::Macro { args, .. } | Expr::List { items: args, .. } => {
             for a in args {
                 walk_expr(a, f);
             }
         }
-        Expr::BlockExpr { block, .. } | Expr::Loop { body: block, .. } => walk_block(block, f),
+        Expr::BlockExpr { block, .. } => walk_block(block, f),
         Expr::If {
             cond, then, else_, ..
         } => {
@@ -1856,7 +1769,6 @@ pub fn walk_blocks<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Block)) {
     f(block);
     walk_block(block, &mut |e| match e {
         Expr::BlockExpr { block, .. } => f(block),
-        Expr::Loop { body, .. } => f(body),
         Expr::If { then, .. } => f(then),
         Expr::For { body, .. } | Expr::While { body, .. } => f(body),
         _ => {}
@@ -1876,8 +1788,8 @@ pub fn walk_item<'a>(item: &'a Item, f: &mut dyn FnMut(&'a Expr)) {
                 walk_item(it, f);
             }
         }
-        Item::Mod(m) => {
-            for it in &m.items {
+        Item::Mod(items) => {
+            for it in items {
                 walk_item(it, f);
             }
         }
@@ -1897,7 +1809,7 @@ pub fn for_each_fn<'a>(file: &'a File, f: &mut dyn FnMut(Option<&'a str>, &'a Fn
             match item {
                 Item::Fn(fd) => f(impl_ty, fd),
                 Item::Impl(i) => rec(&i.items, Some(i.type_name.as_str()), f),
-                Item::Mod(m) => rec(&m.items, impl_ty, f),
+                Item::Mod(items) => rec(items, impl_ty, f),
                 Item::Struct(_) => {}
             }
         }
@@ -1912,7 +1824,7 @@ pub fn for_each_struct<'a>(file: &'a File, f: &mut dyn FnMut(&'a StructDef)) {
             match item {
                 Item::Struct(s) => f(s),
                 Item::Impl(i) => rec(&i.items, f),
-                Item::Mod(m) => rec(&m.items, f),
+                Item::Mod(items) => rec(items, f),
                 Item::Fn(_) => {}
             }
         }
@@ -1939,8 +1851,8 @@ mod tests {
                             return Some(fd);
                         }
                     }
-                    Item::Mod(m) => {
-                        if let Some(fd) = rec(&m.items) {
+                    Item::Mod(items) => {
+                        if let Some(fd) = rec(items) {
                             return Some(fd);
                         }
                     }
@@ -1957,7 +1869,6 @@ mod tests {
         let f = file("pub fn alloc(&mut self, bytes: Bytes, n: u64) -> Option<Pages> { None }");
         let fd = first_fn(&f);
         assert_eq!(fd.name, "alloc");
-        assert!(fd.is_pub);
         assert_eq!(fd.params.len(), 3);
         assert_eq!(fd.params[0].pats, vec!["self"]);
         assert_eq!(fd.params[1].pats, vec!["bytes"]);
@@ -2165,13 +2076,9 @@ mod tests {
             panic!("for");
         };
         assert!(matches!(iter.as_ref(), Expr::Binary { op, .. } if op == ".."));
-        let mut saw_cast = false;
-        walk_block(body, &mut |e| {
-            if let Expr::Cast { ty, .. } = e {
-                assert_eq!(ty, &vec!["usize".to_string()]);
-                saw_cast = true;
-            }
-        });
-        assert!(saw_cast);
+        let Stmt::Expr(Expr::Call { args, .. }) = &body.stmts[0] else {
+            panic!("call");
+        };
+        assert!(matches!(&args[0], Expr::Unary { expr, .. } if expr.as_var() == Some("i")));
     }
 }

@@ -1,4 +1,4 @@
-//! A workspace call graph with per-function effect summaries.
+//! A workspace call graph with per-function effect propagation.
 //!
 //! Nodes are the functions of `Lib`/`Bin` files outside `#[cfg(test)]`
 //! modules; edges are *callee names* (method names and final path
@@ -108,7 +108,7 @@ impl CallGraph {
     /// and at least one same-named candidate is associated with that
     /// type, only those candidates are returned (typed dispatch);
     /// otherwise every same-named function is a candidate (by-name
-    /// dispatch, the PR-8 behavior). An empty vec means the callee is
+    /// dispatch). An empty vec means the callee is
     /// outside the workspace (std, shims).
     pub fn candidates(&self, name: &str, recv_ty: Option<&str>) -> Vec<usize> {
         let Some(all) = self.name_idx.get(name) else {

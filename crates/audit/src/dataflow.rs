@@ -5,50 +5,28 @@
 //! for loop-carried taint, closure-parameter seeding from the method
 //! receiver — and delegates *value* semantics to a [`TaintSpec`]: what
 //! introduces a label, what propagates it, what kills it, and which
-//! expressions are sinks. Each flow rule (`unit-launder-flow`,
-//! `wall-clock-taint`, `unordered-iter-flow`) is a `TaintSpec`
-//! implementation of ~100 lines; the fixpoint plumbing lives here once.
+//! expressions are sinks. Each flow check (`unordered-iter-flow`, and the
+//! laundering and gh-perf halves of `typed-units` and `no-wall-clock`) is
+//! a `TaintSpec` of ~100 lines; the fixpoint plumbing lives here once.
 //!
-//! Labels are structured ([`Label`]): most rules use a fixed `&'static
-//! str` vocabulary ([`Label::Tag`] — unit names, `"wall"`, `"hash"`),
-//! while the interprocedural summary layer ([`crate::summary`]) tracks
-//! *which input* a value derives from ([`Label::Param`] for parameters,
-//! [`Label::Field`] for `self` fields and rule-defined dynamic labels).
-//! Environments map variable names to label sets and merge by pointwise
-//! union, so the analysis over-approximates: a variable tainted on *any*
-//! path stays tainted. Loop bodies run twice so taint flowing through a
-//! loop-carried variable (accumulate in iteration N, sink in N+1) is
-//! seen; rules must tolerate the duplicate sink callbacks this produces
-//! (the engine dedups exact duplicate findings).
+//! Labels are a fixed `&'static str` vocabulary per rule (unit names,
+//! `"wall"`, `"hash"`). Environments map variable names to label sets
+//! and merge by pointwise union, so the analysis over-approximates: a
+//! variable tainted on *any* path stays tainted. Loop bodies run twice
+//! so taint flowing through a loop-carried variable (accumulate in
+//! iteration N, sink in N+1) is seen; rules must tolerate the duplicate
+//! sink callbacks this produces (the engine dedups exact duplicate
+//! findings).
 
 use crate::ast::{Block, Expr, FnDef, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One taint label.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Label {
-    /// Fixed rule vocabulary (`"wall"`, `"hash"`, unit type names).
-    Tag(&'static str),
-    /// The value derives from the analyzed function's i-th parameter
-    /// (0-based over the declared parameter list, `self` included).
-    /// Used by the interprocedural summary layer.
-    Param(u16),
-    /// The value derives from a named field of `self` (summary layer),
-    /// or carries a rule-defined dynamic label.
-    Field(String),
-}
-
 /// A set of taint labels.
-pub type Labels = BTreeSet<Label>;
+pub type Labels = BTreeSet<&'static str>;
 
-/// Singleton label set holding `Tag(s)` — the common rule idiom.
+/// Singleton label set holding `s` — the common rule idiom.
 pub fn tag(s: &'static str) -> Labels {
-    [Label::Tag(s)].into()
-}
-
-/// True when `labels` contains `Tag(s)`.
-pub fn has(labels: &Labels, s: &'static str) -> bool {
-    labels.contains(&Label::Tag(s))
+    [s].into()
 }
 
 /// Union of two label sets.
@@ -109,25 +87,9 @@ impl TaintEnv {
 /// care about. Hooks receive `&mut TaintEnv` where side effects are
 /// meaningful (e.g. `out.push(tainted)` tainting `out`).
 pub trait TaintSpec {
-    /// Labels of a path expression. Default: environment lookup for
-    /// single-segment paths, empty otherwise.
-    fn path(&mut self, e: &Expr, env: &TaintEnv) -> Labels {
-        e.as_var().map(|v| env.get(v)).unwrap_or_default()
-    }
-
-    /// Labels of `recv.name`. Default: the receiver's labels.
-    fn field(&mut self, _e: &Expr, recv: Labels, _env: &mut TaintEnv) -> Labels {
-        recv
-    }
-
     /// Labels of `l op r`. Default: union.
     fn binary(&mut self, _op: &str, l: Labels, r: Labels, _line: u32) -> Labels {
         union(l, r)
-    }
-
-    /// Labels of `expr as Ty`. Default: the operand's labels.
-    fn cast(&mut self, _e: &Expr, inner: Labels) -> Labels {
-        inner
     }
 
     /// Labels of `recv.name(args)`; `e` is the full `Expr::Method` node.
@@ -166,23 +128,12 @@ pub trait TaintSpec {
         labels.clone()
     }
 
-    /// A branch decision: the condition of an `if`/`while` or the
-    /// scrutinee of a `match`, with the deciding value's labels. This is
-    /// the driver's only control-dependence hook — rules that must not
-    /// miss implicit flows (a value steering behavior without flowing
-    /// into it, e.g. `cache-key-completeness`) treat a branch on a
-    /// tracked value as consumption.
-    fn on_branch(&mut self, _e: &Expr, _labels: &Labels) {}
-
     /// A value leaving the function (`return e` or the body tail).
     fn on_return(&mut self, _e: &Expr, _labels: &Labels) {}
 
     /// `lhs = rhs` where `lhs` is not a plain variable (field/index
     /// store). `labels` are the stored value's labels.
     fn on_store(&mut self, _lhs: &Expr, _rhs: &Expr, _labels: &Labels, _env: &mut TaintEnv) {}
-
-    /// A non-assignment expression in statement position, with its labels.
-    fn on_stmt(&mut self, _e: &Expr, _labels: &Labels, _env: &mut TaintEnv) {}
 }
 
 /// Runs `spec` over one function body with `env` as the initial
@@ -213,12 +164,7 @@ pub fn exec_block(spec: &mut dyn TaintSpec, b: &Block, env: &mut TaintEnv) -> La
                 }
             }
             Stmt::Expr(e) => {
-                if let Expr::Assign { .. } = e {
-                    eval_expr(spec, e, env);
-                } else {
-                    let labels = eval_expr(spec, e, env);
-                    spec.on_stmt(e, &labels, env);
-                }
+                eval_expr(spec, e, env);
             }
             Stmt::Item(_) => {} // nested fns are analyzed as their own fns
         }
@@ -233,8 +179,8 @@ pub fn exec_block(spec: &mut dyn TaintSpec, b: &Block, env: &mut TaintEnv) -> La
 /// (assignments, loops, sink callbacks) along the way.
 pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labels {
     match e {
-        Expr::Lit { .. } | Expr::Opaque { .. } => Labels::new(),
-        Expr::Path { .. } => spec.path(e, env),
+        Expr::Opaque { .. } => Labels::new(),
+        Expr::Path { .. } => e.as_var().map(|v| env.get(v)).unwrap_or_default(),
         Expr::Unary { expr, .. } => eval_expr(spec, expr, env),
         Expr::Binary { op, lhs, rhs, line } => {
             let l = eval_expr(spec, lhs, env);
@@ -261,10 +207,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
                 spec.on_store(lhs, rhs, &labels, env);
             }
             Labels::new()
-        }
-        Expr::Cast { expr, .. } => {
-            let inner = eval_expr(spec, expr, env);
-            spec.cast(e, inner)
         }
         Expr::Call { callee, args, .. } => {
             // A non-path callee (fn-pointer field, nested call) can still
@@ -296,10 +238,7 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             }
             spec.method(e, rl, &arg_labels, env)
         }
-        Expr::Field { recv, .. } => {
-            let rl = eval_expr(spec, recv, env);
-            spec.field(e, rl, env)
-        }
+        Expr::Field { recv, .. } => eval_expr(spec, recv, env),
         Expr::Index { recv, idx, .. } => {
             let rl = eval_expr(spec, recv, env);
             let il = eval_expr(spec, idx, env);
@@ -316,7 +255,7 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             let al: Vec<Labels> = args.iter().map(|a| eval_expr(spec, a, env)).collect();
             spec.macro_call(e, &al, env)
         }
-        Expr::Tuple { items, .. } | Expr::Array { items, .. } => items
+        Expr::List { items, .. } => items
             .iter()
             .map(|i| eval_expr(spec, i, env))
             .fold(Labels::new(), union),
@@ -329,7 +268,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             ..
         } => {
             let cl = eval_expr(spec, cond, env);
-            spec.on_branch(cond, &cl);
             let mut tenv = env.clone();
             for p in pat {
                 tenv.bind(p, cl.clone());
@@ -350,7 +288,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             scrutinee, arms, ..
         } => {
             let sl = eval_expr(spec, scrutinee, env);
-            spec.on_branch(scrutinee, &sl);
             let mut out = Labels::new();
             let mut joined = env.clone();
             for arm in arms {
@@ -385,18 +322,10 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             pat, cond, body, ..
         } => {
             let cl = eval_expr(spec, cond, env);
-            spec.on_branch(cond, &cl);
             let mut benv = env.clone();
             for p in pat {
                 benv.bind(p, cl.clone());
             }
-            exec_block(spec, body, &mut benv);
-            exec_block(spec, body, &mut benv);
-            env.merge(&benv);
-            Labels::new()
-        }
-        Expr::Loop { body, .. } => {
-            let mut benv = env.clone();
             exec_block(spec, body, &mut benv);
             exec_block(spec, body, &mut benv);
             env.merge(&benv);
@@ -445,7 +374,7 @@ mod tests {
                         Some("source") => return tag("t"),
                         Some("scrub") => return Labels::new(),
                         Some("sink") => {
-                            if args.iter().any(|a| has(a, "t")) {
+                            if args.iter().any(|a| a.contains("t")) {
                                 self.hits.push(*line);
                             }
                             return Labels::new();

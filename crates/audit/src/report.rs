@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn sarif_carries_the_concurrency_rules() {
-        // The renderer derives rule ids from findings, so the PR-9
+        // The renderer derives rule ids from findings, so the
         // concurrency rules must surface without any registry edit.
         let findings: Vec<Finding> = [
             "cache-key-completeness",

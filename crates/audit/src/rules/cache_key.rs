@@ -43,7 +43,7 @@ impl Rule for CacheKeyCompleteness {
         if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
             return;
         }
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
+        let code: Vec<_> = file.code_tokens().collect();
         for (i, t) in code.iter().enumerate() {
             let is_key_fn =
                 t.is_ident("fn") && code.get(i + 1).is_some_and(|n| n.is_ident("canonical_key"));

@@ -1,7 +1,7 @@
 //! `epoch-coherence`: every function that mutates page placement must
 //! bump `placement_epoch` before returning.
 //!
-//! PR 7's `Runtime::classify_span_cached` caches span classifications and
+//! `Runtime::classify_span_cached` caches span classifications and
 //! validates them against `PageTable::placement_epoch()`. The cache is
 //! sound only if *every* path that changes placement — mapping, unmapping,
 //! remapping/migration, eviction — also advances the epoch; a single

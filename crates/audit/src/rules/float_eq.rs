@@ -33,7 +33,7 @@ impl Rule for FloatEq {
         if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
             return;
         }
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
+        let code: Vec<_> = file.code_tokens().collect();
         let float_idents = float_bound_idents(&code);
         for (i, t) in code.iter().enumerate() {
             if !(t.is_punct("==") || t.is_punct("!=")) || file.in_test_mod(t.line) {

@@ -1,6 +1,6 @@
 //! `lock-discipline`: guards must not be held across conflicting locks.
 //!
-//! The PR-9 concurrency layer (`gh-par`'s pool/deques, `gh-jobs`'
+//! The concurrency layer (`gh-par`'s pool/deques, `gh-jobs`'
 //! cache) uses several `Mutex`es. Two source-level mistakes deadlock
 //! without any test failing deterministically:
 //!
@@ -65,7 +65,7 @@ const WRAPPERS: [&str; 12] = [
     "MutexGuard",
 ];
 
-/// Fixpoint iteration cap for `may_lock` (mirrors the summary layer).
+/// Fixpoint iteration cap for `may_lock`.
 const MAX_ITERS: usize = 64;
 
 /// See module docs.
@@ -350,7 +350,6 @@ impl Walk<'_, '_, '_> {
                 self.expr(iter);
                 self.block(body);
             }
-            Expr::Loop { body, .. } => self.block(body),
             Expr::BlockExpr { block, .. } => self.block(block),
             Expr::Closure { body, .. } => {
                 // Runs later (usually on another thread): not under our
@@ -359,7 +358,7 @@ impl Walk<'_, '_, '_> {
                 self.expr(body);
                 self.held = saved;
             }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => self.expr(expr),
+            Expr::Unary { expr, .. } => self.expr(expr),
             Expr::Binary { lhs, rhs, .. } => {
                 self.expr(lhs);
                 self.expr(rhs);
@@ -374,9 +373,7 @@ impl Walk<'_, '_, '_> {
                     self.expr(v);
                 }
             }
-            Expr::Macro { args, .. }
-            | Expr::Tuple { items: args, .. }
-            | Expr::Array { items: args, .. } => {
+            Expr::Macro { args, .. } | Expr::List { items: args, .. } => {
                 for a in args {
                     self.expr(a);
                 }
@@ -386,7 +383,7 @@ impl Walk<'_, '_, '_> {
                     self.expr(e);
                 }
             }
-            Expr::Path { .. } | Expr::Lit { .. } | Expr::Opaque { .. } => {}
+            Expr::Path { .. } | Expr::Opaque { .. } => {}
         }
     }
 

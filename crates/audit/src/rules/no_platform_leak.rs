@@ -52,7 +52,7 @@ impl Rule for PlatformLeak {
         if ALLOWED_PREFIXES.iter().any(|p| path.starts_with(p)) || ALLOWED_FILES.contains(&path) {
             return;
         }
-        for (_, t) in file.code_tokens() {
+        for t in file.code_tokens() {
             if BANNED.iter().any(|b| t.is_ident(b)) {
                 out.push(Finding {
                     rule: self.name(),

@@ -87,13 +87,13 @@ impl Rule for SessionIsolation {
             return;
         }
         let code: Vec<_> = file.code_tokens().collect();
-        for (pos, (_, t)) in code.iter().enumerate() {
+        for (pos, t) in code.iter().enumerate() {
             if file.in_test_mod(t.line) {
                 continue;
             }
             let next_is = |what: &str| {
                 code.get(pos + 1)
-                    .map(|(_, n)| n.is_punct(what) || n.is_ident(what))
+                    .map(|n| n.is_punct(what) || n.is_ident(what))
                     .unwrap_or(false)
             };
             let offense = if t.is_ident("thread_local") && next_is("!") {
@@ -106,7 +106,7 @@ impl Rule for SessionIsolation {
                 && next_is("::")
                 && code
                     .get(pos + 2)
-                    .map(|(_, n)| n.is_ident("var") || n.is_ident("var_os") || n.is_ident("vars"))
+                    .map(|n| n.is_ident("var") || n.is_ident("var_os") || n.is_ident("vars"))
                     .unwrap_or(false)
             {
                 Some("library code must not read the environment")
@@ -139,13 +139,13 @@ impl Rule for SessionIsolation {
                 continue;
             }
             let code: Vec<_> = file.code_tokens().collect();
-            for (pos, (_, t)) in code.iter().enumerate() {
+            for (pos, t) in code.iter().enumerate() {
                 if !t.is_ident("static") || file.in_test_mod(t.line) {
                     continue;
                 }
                 // Idents between `static NAME` and `=`/`;` are the type.
                 let mut ty_idents = Vec::new();
-                for (_, n) in code.iter().skip(pos + 1).take(24) {
+                for n in code.iter().skip(pos + 1).take(24) {
                     if n.is_punct("=") || n.is_punct(";") || n.is_punct("{") {
                         break;
                     }

@@ -87,7 +87,7 @@ fn check_files(files: &[SourceFile], out: &mut Vec<Finding>) {
 }
 
 fn declares_event_enum(f: &SourceFile) -> bool {
-    let code: Vec<_> = f.code_tokens().map(|(_, t)| t).collect();
+    let code: Vec<_> = f.code_tokens().collect();
     code.windows(2)
         .any(|w| w[0].is_ident("enum") && w[1].is_ident("Event"))
 }
@@ -95,7 +95,7 @@ fn declares_event_enum(f: &SourceFile) -> bool {
 /// Variant identifiers of `enum Event { ... }` (depth-1 idents that open a
 /// variant: followed by `{`, `(`, `,`, or the closing brace).
 fn event_variants(f: &SourceFile) -> BTreeSet<String> {
-    let code: Vec<_> = f.code_tokens().map(|(_, t)| t).collect();
+    let code: Vec<_> = f.code_tokens().collect();
     let mut variants = BTreeSet::new();
     let Some(start) = code
         .windows(3)
@@ -143,7 +143,7 @@ fn event_variants(f: &SourceFile) -> BTreeSet<String> {
 /// `Event :: Variant` token sequences in a file, with the first line each
 /// variant is seen on (test modules excluded).
 fn event_variant_uses(f: &SourceFile) -> BTreeMap<String, u32> {
-    let code: Vec<_> = f.code_tokens().map(|(_, t)| t).collect();
+    let code: Vec<_> = f.code_tokens().collect();
     let mut out: BTreeMap<String, u32> = BTreeMap::new();
     for w in code.windows(3) {
         if w[0].is_ident("Event")

@@ -85,7 +85,7 @@ impl Rule for TypedUnits {
         if file.kind != FileKind::Lib || !UNIT_CRATES.contains(&file.crate_name.as_str()) {
             return;
         }
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
+        let code: Vec<_> = file.code_tokens().collect();
         check_params(file, &code, out);
         check_casts(file, &code, out);
         check_accounting(file, &code, out);
@@ -504,13 +504,9 @@ impl TaintSpec for Spec<'_, '_> {
                 if segs.len() >= 2 && UNIT_CTORS.contains(&segs[segs.len() - 1].as_str()) {
                     let ty = &segs[segs.len() - 2];
                     if let Some(dest) = UNIT_TYPES.iter().find(|u| *u == ty) {
-                        for a in args {
-                            for l in a.iter() {
-                                if let dataflow::Label::Tag(from) = l {
-                                    if from != dest {
-                                        self.findings.push((*line, from, dest));
-                                    }
-                                }
+                        for &from in args.iter().flatten() {
+                            if from != *dest {
+                                self.findings.push((*line, from, dest));
                             }
                         }
                         return Labels::new();
@@ -737,7 +733,7 @@ mod tests {
             FileKind::Lib,
             "struct S { a: Bytes, b: [Pages; 2], c: u64 }\nfn f(d: gh_units::Lines) { let mut e = SimNs::ZERO; let g = 0u64; }",
         );
-        let code: Vec<_> = f.code_tokens().map(|(_, t)| t).collect();
+        let code: Vec<_> = f.code_tokens().collect();
         let set = unit_typed_idents(&code);
         for name in ["a", "b", "d", "e"] {
             assert!(set.contains(name), "{name} should be unit-typed");

@@ -178,7 +178,7 @@ impl TaintSpec for Spec<'_, '_> {
             return Labels::new();
         }
         if ACCUMULATORS.contains(&name.as_str()) {
-            if args.iter().any(|a| dataflow::has(a, HASH)) {
+            if args.iter().any(|a| a.contains(HASH)) {
                 match unwrap_refs(recv_e).as_var() {
                     // The accumulator variable is now hash-ordered; it is
                     // flagged only if it escapes unsorted.
@@ -192,7 +192,7 @@ impl TaintSpec for Spec<'_, '_> {
             }
             return Labels::new();
         }
-        if SINKS.contains(&name.as_str()) && args.iter().any(|a| dataflow::has(a, HASH)) {
+        if SINKS.contains(&name.as_str()) && args.iter().any(|a| a.contains(HASH)) {
             self.findings.push((*line, "reaches an output sink"));
             return Labels::new();
         }
@@ -204,7 +204,7 @@ impl TaintSpec for Spec<'_, '_> {
         if let Expr::Call { callee, line, .. } = e {
             if let Expr::Path { segs, .. } = callee.as_ref() {
                 if segs.last().is_some_and(|s| SINKS.contains(&s.as_str()))
-                    && args.iter().any(|a| dataflow::has(a, HASH))
+                    && args.iter().any(|a| a.contains(HASH))
                 {
                     self.findings.push((*line, "reaches an output sink"));
                     return Labels::new();
@@ -230,8 +230,7 @@ impl TaintSpec for Spec<'_, '_> {
 
     fn macro_call(&mut self, e: &Expr, args: &[Labels], _env: &mut TaintEnv) -> Labels {
         if let Expr::Macro { name, line, .. } = e {
-            if FORMAT_MACROS.contains(&name.as_str()) && args.iter().any(|a| dataflow::has(a, HASH))
-            {
+            if FORMAT_MACROS.contains(&name.as_str()) && args.iter().any(|a| a.contains(HASH)) {
                 self.findings.push((*line, "reaches formatted output"));
                 return Labels::new();
             }
@@ -240,13 +239,13 @@ impl TaintSpec for Spec<'_, '_> {
     }
 
     fn on_return(&mut self, e: &Expr, labels: &Labels) {
-        if dataflow::has(labels, HASH) {
+        if labels.contains(HASH) {
             self.findings.push((e.line(), "is returned"));
         }
     }
 
     fn on_store(&mut self, lhs: &Expr, _rhs: &Expr, labels: &Labels, _env: &mut TaintEnv) {
-        if dataflow::has(labels, HASH) {
+        if labels.contains(HASH) {
             self.findings.push((lhs.line(), "is stored into a field"));
         }
     }

@@ -38,7 +38,7 @@ impl Rule for UnwrapInLib {
         if file.kind != FileKind::Lib || EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
             return;
         }
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
+        let code: Vec<_> = file.code_tokens().collect();
         for (i, t) in code.iter().enumerate() {
             if t.kind != crate::lexer::TokKind::Ident || file.in_test_mod(t.line) {
                 continue;

@@ -68,19 +68,16 @@ impl Rule for WallClock {
             return;
         }
         let code: Vec<_> = file.code_tokens().collect();
-        for (pos, (_, t)) in code.iter().enumerate() {
+        for (pos, t) in code.iter().enumerate() {
             if !BANNED.iter().any(|b| t.is_ident(b)) || file.in_test_mod(t.line) {
                 continue;
             }
             // `elapsed` only counts as a method/assoc call; a field or
             // local named `elapsed` holding virtual ns is fine.
             if t.is_ident("elapsed") {
-                let called = code
-                    .get(pos + 1)
-                    .map(|(_, n)| n.is_punct("("))
-                    .unwrap_or(false);
+                let called = code.get(pos + 1).map(|n| n.is_punct("(")).unwrap_or(false);
                 let receiver =
-                    pos > 0 && (code[pos - 1].1.is_punct(".") || code[pos - 1].1.is_punct("::"));
+                    pos > 0 && (code[pos - 1].is_punct(".") || code[pos - 1].is_punct("::"));
                 if !(called && receiver) {
                     continue;
                 }
@@ -159,7 +156,7 @@ impl TaintSpec for Spec {
                 return dataflow::tag(WALL);
             }
             if let Some(desc) = segs.last().and_then(|s| sink_desc(s)) {
-                if args.iter().any(|a| dataflow::has(a, WALL)) {
+                if args.iter().any(|a| a.contains(WALL)) {
                     self.findings.push((*line, desc));
                 }
                 return Labels::new();
@@ -179,7 +176,7 @@ impl TaintSpec for Spec {
             return dataflow::tag(WALL);
         }
         if let Some(desc) = sink_desc(name) {
-            if args.iter().any(|a| dataflow::has(a, WALL)) {
+            if args.iter().any(|a| a.contains(WALL)) {
                 self.findings.push((*line, desc));
             }
             return Labels::new();
@@ -191,7 +188,7 @@ impl TaintSpec for Spec {
     fn struct_lit(&mut self, e: &Expr, fields: &[(String, Labels)], _env: &mut TaintEnv) -> Labels {
         if let Expr::StructLit { segs, line, .. } = e {
             if segs.last().is_some_and(|s| s == "RunReport")
-                && fields.iter().any(|(_, l)| dataflow::has(l, WALL))
+                && fields.iter().any(|(_, l)| l.contains(WALL))
             {
                 self.findings.push((*line, "a RunReport field"));
             }

@@ -86,13 +86,10 @@ impl SourceFile {
         })
     }
 
-    /// Iterator over non-comment tokens with their indices in
-    /// `self.tokens` (most rules match on code tokens only).
-    pub fn code_tokens(&self) -> impl Iterator<Item = (usize, &Tok)> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_comment())
+    /// Iterator over non-comment tokens (most rules match on code
+    /// tokens only).
+    pub fn code_tokens(&self) -> impl Iterator<Item = &Tok> {
+        self.tokens.iter().filter(|t| !t.is_comment())
     }
 }
 

@@ -93,14 +93,14 @@ impl PageTable {
     }
 }
 
-// unit-launder-flow's disciplined twin: the byte count is scaled by the
+// typed-units' disciplined laundering twin: the byte count is scaled by the
 // page size on its way into the page domain — a real conversion, not a
 // relabeling.
 pub fn pages_from_bytes(b: Bytes, page: PageSize) -> Pages {
     Pages::new(b.get() / page.get())
 }
 
-// no-ambient-state's disciplined twin: per-run observability rides an
+// session-isolation's disciplined ambient-state twin: observability rides an
 // explicit session value owned by the caller — no thread-locals, no
 // process-wide cells, and the env read stays at the CLI boundary.
 pub struct Session {

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 /// Measures host nanoseconds spent in `f` — legal only in this crate.
-/// `wall-clock-taint` is also silent: the measurement is returned to the
+/// `no-wall-clock` stays silent: the measurement is returned to the
 /// profiler's caller, never pushed into a model-visible sink.
 pub fn host_time_ns<T>(f: impl FnOnce() -> T) -> (T, u128) {
     let t0 = Instant::now();

@@ -1,4 +1,4 @@
-//! Seeded-violation fixture for the PR-9 concurrency rules: exactly one
+//! Seeded-violation fixture for the session and executor rules: exactly one
 //! finding each for `cache-key-completeness`, `session-isolation`, and
 //! `lock-discipline`. Never compiled — consumed by `tests/fixtures.rs`
 //! through the engine.

@@ -11,7 +11,7 @@ pub struct Counters {
 }
 
 impl Counters {
-    // no-unchecked-accounting-arithmetic: unchecked `+=` on an
+    // typed-units (accounting): unchecked `+=` on an
     // accounting accumulator in an accounting crate (gh-mem).
     pub fn tally(&mut self, bytes: u64) {
         self.total_bytes += bytes;
@@ -60,7 +60,7 @@ pub fn span_cost(len_bytes: u64, dur_ns: u64) -> u64 {
     len_bytes.saturating_add(dur_ns)
 }
 
-// no-raw-unit-cast: an `as u64` launder and a `.0` newtype escape.
+// typed-units (raw casts): an `as u64` launder and a `.0` escape.
 pub struct RawBytes(pub u64);
 
 pub fn escape_hatch(count: u32, b: &RawBytes) -> u64 {
@@ -87,14 +87,14 @@ impl PageTable {
     }
 }
 
-// unit-launder-flow: a byte count escapes through `.get()` and is
+// typed-units (laundering): a byte count escapes through `.get()` and is
 // rewrapped as a page count with no conversion — off by the page size,
 // deterministically wrong.
 pub fn pages_from_bytes(b: Bytes) -> Pages {
     Pages::new(b.get())
 }
 
-// no-ambient-state: ambient run state in a model crate — a thread-local
+// session-isolation (ambient state): run state in a model crate — a thread-local
 // collector, a process-wide mutable flag, a lazy `OnceLock` env latch,
 // and a library env read. Four hits total; per-run state belongs on the
 // SessionCtx.
