@@ -294,6 +294,17 @@ impl Runtime {
         self.phys.free(Node::Gpu).get()
     }
 
+    /// Free simulated physical memory over both nodes: the shared pool's
+    /// free bytes when unified, CPU plus GPU free bytes otherwise. On a
+    /// fresh machine this is everything an application can touch.
+    pub fn mem_free(&self) -> u64 {
+        if self.phys.is_unified() {
+            self.phys.free(Node::Gpu).get()
+        } else {
+            (self.phys.free(Node::Cpu) + self.phys.free(Node::Gpu)).get()
+        }
+    }
+
     /// Immutable view of the OS (page table inspection in tests).
     pub fn os(&self) -> &Os {
         &self.os

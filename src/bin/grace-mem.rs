@@ -76,6 +76,8 @@ enum CliError {
     Write(String, std::io::Error),
     /// The simulator rejected the run (malformed trace, replay error).
     Sim(String),
+    /// A flag or argument parsed but is outside what the model can run.
+    Invalid(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -83,7 +85,7 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Read(path, e) => write!(w, "cannot read {path}: {e}"),
             CliError::Write(path, e) => write!(w, "cannot write {path}: {e}"),
-            CliError::Sim(e) => write!(w, "{e}"),
+            CliError::Sim(e) | CliError::Invalid(e) => write!(w, "{e}"),
         }
     }
 }
@@ -150,10 +152,17 @@ fn parse_flags(args: &[String]) -> Flags {
             }
             "--no-migration" => f.migration = false,
             "--oversubscribe" => {
-                f.oversubscribe = it.next().and_then(|s| s.parse().ok());
-                if f.oversubscribe.is_none() {
-                    usage();
+                let Some(arg) = it.next() else { usage() };
+                let Ok(ratio) = arg.parse::<f64>() else {
+                    usage()
+                };
+                // `Machine::oversubscribe` asserts a ratio of at least 1.
+                if !(ratio.is_finite() && ratio >= 1.0) {
+                    fail(CliError::Invalid(format!(
+                        "--oversubscribe needs a finite ratio >= 1, got {arg}"
+                    )));
                 }
+                f.oversubscribe = Some(ratio);
             }
             "--small" => f.small = true,
             "--json" => f.json = true,
@@ -333,6 +342,26 @@ fn run_extension(
     Some((r, perf))
 }
 
+/// Rejects QV sizes the model cannot run: fewer than 2 qubits (no
+/// two-qubit layer to generate), or a statevector larger than the free
+/// simulated memory of a fresh machine (which also covers sizes whose
+/// byte count would overflow a `u64`).
+fn check_qv_size(q: u32, free: u64, platform: &str) {
+    if q < 2 {
+        fail(CliError::Invalid(format!(
+            "qv needs at least 2 qubits, got {q}"
+        )));
+    }
+    let fits = q <= grace_mem::qsim::statevector_bytes(0).leading_zeros()
+        && grace_mem::qsim::statevector_bytes(q) <= free;
+    if !fits {
+        fail(CliError::Invalid(format!(
+            "qv {q}: the statevector exceeds the {} MiB of free simulated memory on {platform}",
+            free / MIB
+        )));
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -401,6 +430,7 @@ fn main() {
                 ..Default::default()
             };
             let m = machine(&f, &so);
+            check_qv_size(q, m.rt.mem_free(), f.platform.caps().name);
             let perf = m.rt.session().perf.clone();
             let r = grace_mem::run_qv(m, f.mode, &p);
             print_report_maybe_json(
