@@ -3,7 +3,7 @@
 //! Benches are a *boundary*: this module is where `GH_TRACE`/`GH_JOBS`
 //! env vars are read and folded into per-run
 //! [`SessionOptions`](gh_cuda::SessionOptions). Library code below this
-//! layer never touches the environment (audit rule `no-ambient-state`).
+//! layer never touches the environment (audit rule `session-isolation`).
 
 use gh_apps::{AppId, MemMode};
 use gh_cuda::SessionOptions;

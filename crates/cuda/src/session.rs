@@ -20,7 +20,7 @@
 //! The `Runtime` owns the context; components that emit (TLB, link,
 //! access counters, OS) hold clones of the handles, injected at
 //! construction. **Library code never reads `GH_*` environment
-//! variables** (audit rule `no-ambient-state`): env vars are honored
+//! variables** (audit rule `session-isolation`): env vars are honored
 //! only at the CLI/bench boundary, where they seed a [`SessionOptions`]
 //! that is resolved into a `SessionCtx` here. See `docs/sessions.md`.
 

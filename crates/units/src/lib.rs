@@ -27,7 +27,7 @@
 //!   half-up, saturating — never a truncating `as u64`).
 //!
 //! Everything else goes through [`get`](Bytes::get) at the raw boundary,
-//! which the `no-raw-unit-cast` audit rule confines to this crate and to
+//! which the `typed-units` audit rule confines to this crate and to
 //! explicitly-blessed call sites.
 
 use std::fmt;

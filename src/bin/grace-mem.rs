@@ -230,7 +230,7 @@ fn report_sanitizer(r: &grace_mem::RunReport) {
 /// Reads a `GH_*` boolean env toggle: `None` when unset, `Some(false)`
 /// for `""`/`"0"`, `Some(true)` otherwise. This is the *only* layer that
 /// reads these variables — they seed the [`SessionOptions`] below and
-/// never leak into library code (audit rule `no-ambient-state`).
+/// never leak into library code (audit rule `session-isolation`).
 fn env_flag(name: &str) -> Option<bool> {
     std::env::var(name).ok().map(|v| v != "0" && !v.is_empty())
 }
