@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, HashSet};
 const NAME: &str = "typed-units";
 
 /// Crates whose public APIs and accumulators must speak typed units.
-pub const UNIT_CRATES: [&str; 3] = ["gh-mem", "gh-os", "gh-cuda"];
+const UNIT_CRATES: [&str; 3] = ["gh-mem", "gh-os", "gh-cuda"];
 
 /// `_`-separated name segments that mark a parameter as a unit quantity,
 /// with the newtype it should carry.
