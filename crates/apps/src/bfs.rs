@@ -7,7 +7,7 @@
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::{coalesce, coalesce_unit_ids, UBuf};
+use crate::common::{coalesce_unit_ids, UBuf};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -98,22 +98,39 @@ fn checksum_of(cost: &[i32]) -> f64 {
         .sum()
 }
 
-/// Meter a coalesced span: big merged runs are dense streaming reads,
-/// small fragments are irregular (line-granular) accesses.
-fn meter_read(k: &mut gh_sim::Kernel<'_>, buf: &gh_sim::Buffer, off: u64, len: u64) {
-    if len >= 2048 {
-        k.read(buf, off, len);
-    } else {
-        k.read_strided(buf, off, len, len.max(1), 1);
-    }
+/// Meters a buffer's coalesced spans in one sparse call: big merged runs
+/// are dense streaming accesses, small fragments are irregular
+/// (line-granular) ones.
+fn meter(k: &mut gh_sim::Kernel<'_>, buf: &gh_sim::Buffer, spans: &[(u64, u64)], write: bool) {
+    k.sparse(
+        buf,
+        write,
+        spans.iter().map(|&(off, len)| (off, len, len < 2048)),
+    );
 }
 
-fn meter_write(k: &mut gh_sim::Kernel<'_>, buf: &gh_sim::Buffer, off: u64, len: u64) {
-    if len >= 2048 {
-        k.write(buf, off, len);
-    } else {
-        k.write_strided(buf, off, len, len.max(1), 1);
+/// The adjacency spans of the frontier, from the runs of consecutive
+/// node ids `coalesce_unit_ids(frontier, 8, n)` returns. CSR offsets grow
+/// with node id, so a run owns one contiguous edge span; spans left
+/// touching by empty adjacency lists in between are merged, which makes
+/// the result equal to `coalesce` over the per-node segments without
+/// sorting them.
+fn edge_spans(g: &Graph, node_runs: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(node_runs.len());
+    for &(off, len) in node_runs {
+        let (first, last) = ((off / 8) as usize, ((off + len) / 8 - 1) as usize);
+        let start = u64::from(g.nodes[first].0) * 4;
+        let (s, c) = g.nodes[last];
+        let end = u64::from(s + c) * 4;
+        if end == start {
+            continue;
+        }
+        match out.last_mut() {
+            Some((o, l)) if *o + *l == start => *l = end - *o,
+            _ => out.push((start, end - start)),
+        }
     }
+    out
 }
 
 /// Runs BFS under `mode` (checksum = Σ (level+1) over reached nodes).
@@ -170,16 +187,13 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
             // unit-granular touch lists go through the bitmap coalescer,
             // which produces the same spans as sort+merge without the
             // per-level sort).
-            for (off, len) in coalesce_unit_ids(&frontier, 8, n) {
-                meter_read(&mut k, nodes_buf.gpu(), off, len);
-            }
+            let node_runs = coalesce_unit_ids(&frontier, 8, n);
+            meter(&mut k, nodes_buf.gpu(), &node_runs, false);
             // Per-node adjacency segments + neighbour visited checks.
-            let mut edge_touches = Vec::with_capacity(frontier.len());
             let mut neigh_ids = Vec::new();
             let mut discovered = Vec::new();
             for &u in &frontier {
                 let (s, c) = g.nodes[u as usize];
-                edge_touches.push(((s as u64) * 4, (c as u64) * 4));
                 for &v in &g.edges[s as usize..(s + c) as usize] {
                     neigh_ids.push(v);
                     if cost[v as usize] < 0 {
@@ -189,19 +203,14 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
                     }
                 }
             }
-            for (off, len) in coalesce(edge_touches) {
-                meter_read(&mut k, edges_buf.gpu(), off, len);
-            }
-            for (off, len) in coalesce_unit_ids(&neigh_ids, 1, n) {
-                meter_read(&mut k, vis_buf.gpu(), off, len);
-            }
+            meter(&mut k, edges_buf.gpu(), &edge_spans(&g, &node_runs), false);
+            let neigh_runs = coalesce_unit_ids(&neigh_ids, 1, n);
+            meter(&mut k, vis_buf.gpu(), &neigh_runs, false);
             // Scatter: new costs + updating mask for discovered nodes.
-            for (off, len) in coalesce_unit_ids(&discovered, 4, n) {
-                meter_write(&mut k, cost_buf.gpu(), off, len);
-            }
-            for (off, len) in coalesce_unit_ids(&discovered, 1, n) {
-                meter_write(&mut k, upd_buf.gpu(), off, len);
-            }
+            let cost_runs = coalesce_unit_ids(&discovered, 4, n);
+            meter(&mut k, cost_buf.gpu(), &cost_runs, true);
+            let upd_runs = coalesce_unit_ids(&discovered, 1, n);
+            meter(&mut k, upd_buf.gpu(), &upd_runs, true);
             k.compute((n + g.edges.len()) as u64);
             k.finish();
         }
@@ -209,9 +218,11 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
         {
             let mut k = m.rt.launch("bfs_kernel2");
             k.read(upd_buf.gpu(), 0, mask_bytes);
-            for (off, len) in coalesce_unit_ids(&next, 1, n) {
-                meter_write(&mut k, mask_buf.gpu(), off, len);
-                meter_write(&mut k, vis_buf.gpu(), off, len);
+            // Per-span calls keep the mask/visited interleaving the GPU
+            // issues; each buffer's settled memo survives between them.
+            for span in coalesce_unit_ids(&next, 1, n) {
+                meter(&mut k, mask_buf.gpu(), &[span], true);
+                meter(&mut k, vis_buf.gpu(), &[span], true);
             }
             k.compute(n as u64);
             k.finish();
@@ -268,6 +279,38 @@ mod tests {
         for &v in &g.edges[s as usize..(s + c) as usize] {
             assert!(cost[v as usize] <= 1);
         }
+    }
+
+    #[test]
+    fn edge_spans_match_coalesced_segments() {
+        let g = build_graph(&small());
+        let n = g.nodes.len();
+        let frontiers: [Vec<u32>; 4] = [
+            vec![0],
+            (0..n as u32).collect(),
+            (0..n as u32).filter(|i| i % 3 != 1).collect(),
+            vec![1999, 5, 7, 6, 1000, 1001, 4],
+        ];
+        for frontier in frontiers {
+            let segments = frontier
+                .iter()
+                .map(|&u| {
+                    let (s, c) = g.nodes[u as usize];
+                    (u64::from(s) * 4, u64::from(c) * 4)
+                })
+                .collect();
+            let runs = coalesce_unit_ids(&frontier, 8, n);
+            assert_eq!(edge_spans(&g, &runs), crate::common::coalesce(segments));
+        }
+        // Empty adjacency lists between two runs leave their edge spans
+        // touching: they merge, as `coalesce` merges them.
+        let g = Graph {
+            nodes: vec![(0, 2), (2, 0), (2, 3), (5, 0), (5, 1)],
+            edges: vec![0; 6],
+        };
+        let runs = coalesce_unit_ids(&[0, 2, 4], 8, 5);
+        assert_eq!(edge_spans(&g, &runs), vec![(0, 24)]);
+        assert!(edge_spans(&g, &coalesce_unit_ids(&[1, 3], 8, 5)).is_empty());
     }
 
     #[test]

@@ -136,10 +136,12 @@ impl UBuf {
     }
 }
 
-/// Merges a sorted sequence of `(offset, len)` touches into maximal
-/// contiguous spans, so irregular-but-clustered gathers (BFS frontiers)
-/// are metered as the coalesced transactions a GPU would issue.
-pub fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+/// Merges `(offset, len)` touches into maximal contiguous spans — the
+/// coalesced transactions a GPU would issue for irregular-but-clustered
+/// gathers. The sort-and-merge oracle the sort-free span builders
+/// ([`coalesce_unit_ids`], BFS's edge spans) are tested against.
+#[cfg(test)]
+pub(crate) fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     gh_par::par_sort_unstable(&mut touches);
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(touches.len());
     for (off, len) in touches {

@@ -9,6 +9,11 @@
 //! * the **reference walk**: the original per-page loop, retained for
 //!   differential testing and debugging.
 //!
+//! Lists of small spans (strided segments, gathers, scatters) enter
+//! through [`Kernel::sparse`](crate::Kernel::sparse), which charges each
+//! span exactly as the batched core would but pays the classification
+//! once per settled page or block; the reference walk bypasses it.
+//!
 //! The selection is a per-session option —
 //! [`RuntimeOptions::access_ref`](crate::RuntimeOptions::access_ref),
 //! settable through

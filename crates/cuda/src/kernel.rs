@@ -108,6 +108,15 @@ struct BufBytes {
     hbm: u64,
 }
 
+/// Remote cachelines of consecutive sparse spans on one system page,
+/// not yet fed to the access counters.
+#[derive(Debug, Clone, Copy)]
+struct CounterLines {
+    vpn: Vpn,
+    region: u64,
+    lines: u64,
+}
+
 /// An in-flight kernel recording.
 #[derive(Debug)]
 pub struct Kernel<'r> {
@@ -217,9 +226,11 @@ impl<'r> Kernel<'r> {
         write: bool,
     ) {
         assert!(stride > 0, "stride must be positive");
-        for i in 0..count {
-            self.span(buf, off + i * stride, seg_len, write, true);
-        }
+        self.sparse(
+            buf,
+            write,
+            (0..count).map(|i| (off + i * stride, seg_len, true)),
+        );
     }
 
     /// 2-D sub-grid read: `rows` rows of `row_bytes`, `pitch` bytes
@@ -252,9 +263,8 @@ impl<'r> Kernel<'r> {
         offsets: I,
         bytes_each: Bytes,
     ) {
-        for off in offsets {
-            self.span(buf, off, bytes_each.get(), false, true);
-        }
+        let len = bytes_each.get();
+        self.sparse(buf, false, offsets.into_iter().map(|off| (off, len, true)));
     }
 
     /// Irregular scatter: writes `bytes_each` at each byte offset.
@@ -264,12 +274,214 @@ impl<'r> Kernel<'r> {
         offsets: I,
         bytes_each: Bytes,
     ) {
-        for off in offsets {
-            self.span(buf, off, bytes_each.get(), true, true);
+        let len = bytes_each.get();
+        self.sparse(buf, true, offsets.into_iter().map(|off| (off, len, true)));
+    }
+
+    /// Meters a list of `(off, len, random)` spans of one buffer, all
+    /// reads or all writes. Exactly equivalent to metering each span on
+    /// its own, in order — same traffic, TLB and L2 state, counters,
+    /// virtual time and trace events — but the classification cost is
+    /// paid once per *settled* system page or managed block (see the
+    /// `settled` module) instead of once per span: the first span on a
+    /// unit takes the full access path, later ones only charge the TLB
+    /// lookup, their traffic, dirty bits and (managed) LRU recency.
+    /// Per-buffer attribution is updated once per call.
+    pub fn sparse<I>(&mut self, buf: &Buffer, write: bool, spans: I)
+    where
+        I: IntoIterator<Item = (u64, u64, bool)>,
+    {
+        if self.rt.session.opts.access_ref {
+            for (off, len, random) in spans {
+                self.span(buf, off, len, write, random);
+            }
+            return;
+        }
+        let before = self.moved();
+        let touched = match buf.kind {
+            BufKind::Device => self.each_span(buf, spans, |k, span, random| {
+                k.span_device(span, write, random)
+            }),
+            BufKind::Pinned | BufKind::System | BufKind::Managed if self.rt.params.unified_pool => {
+                self.sparse_system(buf, write, spans)
+            }
+            BufKind::Pinned => self.each_span(buf, spans, |k, span, random| {
+                k.span_pinned(span, write, random)
+            }),
+            BufKind::System => self.sparse_system(buf, write, spans),
+            BufKind::Managed => self.sparse_managed(buf, write, spans),
+        };
+        if touched {
+            self.attribute(buf.id(), before);
         }
     }
 
+    /// Runs `f` on every non-empty span; returns whether there was one.
+    fn each_span<I, F>(&mut self, buf: &Buffer, spans: I, mut f: F) -> bool
+    where
+        I: IntoIterator<Item = (u64, u64, bool)>,
+        F: FnMut(&mut Self, VaRange, bool),
+    {
+        let mut touched = false;
+        for (off, len, random) in spans {
+            if len == 0 {
+                continue;
+            }
+            assert!(off + len <= buf.len(), "kernel access out of range");
+            touched = true;
+            f(self, buf.range.slice(off, len), random);
+        }
+        touched
+    }
+
+    /// Sparse spans over system memory (or any host-visible kind in a
+    /// unified pool). A single-page span on a settled page charges what
+    /// the per-page walk charges for a populated page — TLB lookup,
+    /// local or remote traffic, access-counter lines, dirty bit — without
+    /// the page-table probes. Counter lines are summed while consecutive
+    /// spans stay on one page, and recorded before the next span that
+    /// could emit a trace event; a group's later TLB lookups hit, so no
+    /// event can fall between.
+    fn sparse_system<I>(&mut self, buf: &Buffer, write: bool, spans: I) -> bool
+    where
+        I: IntoIterator<Item = (u64, u64, bool)>,
+    {
+        let spt = self.rt.os.system_pt.page_size();
+        let line = self.rt.params.gpu_cacheline;
+        let unified = self.rt.params.unified_pool;
+        let mut memo = self.rt.take_settled(buf);
+        let mut pending: Option<CounterLines> = None;
+        let mut touched = false;
+        for (off, len, random) in spans {
+            if len == 0 {
+                continue;
+            }
+            assert!(off + len <= buf.len(), "kernel access out of range");
+            touched = true;
+            let addr = buf.range.addr + off;
+            let vpn = Vpn::new(addr / spt);
+            let one_page = (addr + len - 1) / spt == vpn.get();
+            let Some(node) = memo.page(vpn).filter(|_| one_page) else {
+                self.record_lines(&mut pending);
+                let span = buf.range.slice(off, len);
+                self.span_system(buf.id(), buf.range, span, write, random);
+                memo.validate(self.rt.settled_stamp());
+                if one_page {
+                    if let Some(pte) = self.rt.os.system_pt.translate(vpn) {
+                        memo.settle_page(vpn, pte.node, pte.dirty);
+                    }
+                }
+                continue;
+            };
+            if pending.is_some_and(|p| p.vpn != vpn) {
+                self.record_lines(&mut pending);
+            }
+            self.translate(tlb_key_sys(vpn));
+            match node {
+                Node::Cpu if !unified => {
+                    self.account_remote(addr, len, write, random);
+                    if self.rt.counters.enabled() {
+                        // A pending group is on this page (flushed above
+                        // otherwise), and a page never straddles counter
+                        // regions (`CostParams::validate`).
+                        let lines = len.div_ceil(line);
+                        match &mut pending {
+                            Some(p) => p.lines += lines,
+                            None => {
+                                let region = self.rt.counters.region_of(addr);
+                                pending = Some(CounterLines { vpn, region, lines });
+                            }
+                        }
+                    }
+                }
+                _ => self.account_local(len, write, random),
+            }
+            if write && memo.dirty(vpn) {
+                self.rt.os.system_pt.mark_dirty(vpn);
+            }
+        }
+        self.record_lines(&mut pending);
+        self.rt.put_settled(buf.id(), memo);
+        touched
+    }
+
+    /// Feeds summed remote lines of one page to the access counters,
+    /// exactly as the per-page walk's per-span records would.
+    fn record_lines(&mut self, pending: &mut Option<CounterLines>) {
+        let Some(p) = pending.take() else {
+            return;
+        };
+        self.rt
+            .remote_touched
+            .entry(p.region)
+            .or_default()
+            .insert(p.vpn);
+        if let Some(n) = self.rt.counters.record(p.region, p.lines) {
+            self.rt.pending_notifs.push_back(n.region);
+            self.t.notifications = self.t.notifications.saturating_add(1);
+        }
+    }
+
+    /// Sparse spans over managed memory. A single-block span on a
+    /// settled block charges what [`Kernel::span_managed`] charges for a
+    /// wholly GPU-resident block — local traffic, the block's GPU TLB
+    /// entry, LRU recency, dirty bits — without the VMA, pin and
+    /// residency probes.
+    fn sparse_managed<I>(&mut self, buf: &Buffer, write: bool, spans: I) -> bool
+    where
+        I: IntoIterator<Item = (u64, u64, bool)>,
+    {
+        let mut memo = self.rt.take_settled(buf);
+        let mut touched = false;
+        for (off, len, random) in spans {
+            if len == 0 {
+                continue;
+            }
+            assert!(off + len <= buf.len(), "kernel access out of range");
+            touched = true;
+            let addr = buf.range.addr + off;
+            let block = block_of(addr);
+            let one_block = block_of(addr + len - 1) == block;
+            if one_block && memo.block(block) {
+                self.account_local(len, write, random);
+                self.translate(tlb_key_gpu(Vpn::new(block)));
+                self.rt.uvm.touch_lru(block);
+                if write {
+                    for vpn in self.rt.os.system_pt.vpn_range(addr, len) {
+                        if memo.dirty(vpn) {
+                            self.rt.os.system_pt.mark_dirty(vpn);
+                        }
+                    }
+                }
+                continue;
+            }
+            self.span_managed(buf.range, buf.range.slice(off, len), write, random);
+            memo.validate(self.rt.settled_stamp());
+            if one_block && self.rt.managed_block_settled(block, buf.range) {
+                memo.settle_block(block);
+            }
+        }
+        self.rt.put_settled(buf.id(), memo);
+        touched
+    }
+
     // ------------------------------------------------------------------
+
+    /// Remote and local bytes metered so far, for per-buffer attribution.
+    fn moved(&self) -> BufBytes {
+        BufBytes {
+            c2c: self.t.c2c_read + self.t.c2c_write,
+            hbm: self.t.hbm_read + self.t.hbm_write,
+        }
+    }
+
+    /// Charges the bytes metered since `before` to buffer `id`.
+    fn attribute(&mut self, id: u32, before: BufBytes) {
+        let now = self.moved();
+        let entry = self.by_buffer.entry(id).or_default();
+        entry.c2c = entry.c2c.saturating_add(now.c2c.saturating_sub(before.c2c));
+        entry.hbm = entry.hbm.saturating_add(now.hbm.saturating_sub(before.hbm));
+    }
 
     fn span(&mut self, buf: &Buffer, off: u64, len: u64, write: bool, random: bool) {
         if len == 0 {
@@ -277,10 +489,7 @@ impl<'r> Kernel<'r> {
         }
         assert!(off + len <= buf.len(), "kernel access out of range");
         let span = buf.range.slice(off, len);
-        let before = BufBytes {
-            c2c: self.t.c2c_read + self.t.c2c_write,
-            hbm: self.t.hbm_read + self.t.hbm_write,
-        };
+        let before = self.moved();
         match buf.kind {
             BufKind::Device => self.span_device(span, write, random),
             // In a unified pool every host-visible kind is just mapped
@@ -292,13 +501,7 @@ impl<'r> Kernel<'r> {
             BufKind::System => self.span_system(buf.id(), buf.range, span, write, random),
             BufKind::Managed => self.span_managed(buf.range, span, write, random),
         }
-        let entry = self.by_buffer.entry(buf.id()).or_default();
-        entry.c2c = entry
-            .c2c
-            .saturating_add((self.t.c2c_read + self.t.c2c_write).saturating_sub(before.c2c));
-        entry.hbm = entry
-            .hbm
-            .saturating_add((self.t.hbm_read + self.t.hbm_write).saturating_sub(before.hbm));
+        self.attribute(buf.id(), before);
     }
 
     fn account_local(&mut self, bytes: u64, write: bool, random: bool) {
@@ -1365,5 +1568,419 @@ mod tests {
         assert_eq!(rep.traffic.l1l2, 2 * MIB);
         assert_eq!(rep.traffic.c2c_read, MIB);
         assert_eq!(rep.traffic.hbm_read, MIB);
+    }
+
+    // --- sparse path vs per-span loop --------------------------------
+
+    /// One metered call: buffer index, write, `(off, len, random)` spans.
+    type Call = (usize, bool, Vec<(u64, u64, bool)>);
+
+    /// A differential script step: a kernel of calls, or a runtime
+    /// action between kernels.
+    enum Step {
+        Kernel(Vec<Call>),
+        Do(fn(&mut Runtime, &[Buffer])),
+    }
+
+    /// Everything a metered span can change.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        kernels: Vec<(Ns, KernelTraffic, Vec<BufferTraffic>)>,
+        tlb: (u64, u64),
+        l2: Vec<(u64, u64)>,
+        now: Ns,
+        ptes: Vec<Option<(Node, bool)>>,
+        notifs: Vec<u64>,
+        counts: Vec<u64>,
+        lru: Vec<u64>,
+        touched: std::collections::BTreeMap<u64, std::collections::BTreeSet<Vpn>>,
+        events: Vec<gh_trace::Stamped>,
+    }
+
+    fn observe(
+        setup: &dyn Fn() -> (Runtime, Vec<Buffer>),
+        steps: &[Step],
+        sparse: bool,
+    ) -> Observed {
+        let (mut r, bufs) = setup();
+        let (mut kernels, mut l2) = (Vec::new(), Vec::new());
+        for (i, step) in steps.iter().enumerate() {
+            let calls = match step {
+                Step::Kernel(calls) => calls,
+                Step::Do(action) => {
+                    action(&mut r, &bufs);
+                    continue;
+                }
+            };
+            let mut k = r.launch(&format!("k{i}"));
+            for (b, write, spans) in calls {
+                if sparse {
+                    k.sparse(&bufs[*b], *write, spans.iter().copied());
+                } else {
+                    for &(off, len, random) in spans {
+                        k.span(&bufs[*b], off, len, *write, random);
+                    }
+                }
+            }
+            let rep = k.finish();
+            let cache = r.l2_pool.as_ref().expect("finish parks the L2 model");
+            l2.push((cache.hits(), cache.misses()));
+            kernels.push((rep.time, rep.traffic, rep.by_buffer));
+        }
+        let (mut ptes, mut counts) = (Vec::new(), Vec::new());
+        for b in bufs.iter().filter(|b| b.kind != BufKind::Device) {
+            for vpn in r.os.system_pt.vpn_range(b.range.addr, b.range.len) {
+                ptes.push(r.os.system_pt.translate(vpn).map(|p| (p.node, p.dirty)));
+            }
+            let regions =
+                r.counters.region_of(b.range.addr)..=r.counters.region_of(b.range.end() - 1);
+            counts.extend(regions.map(|region| r.counters.count(region)));
+        }
+        Observed {
+            kernels,
+            tlb: (r.gpu_tlb.hits(), r.gpu_tlb.misses()),
+            l2,
+            now: r.now(),
+            ptes,
+            notifs: r.pending_notifs.iter().copied().collect(),
+            counts,
+            lru: r.uvm.lru_order(),
+            touched: r
+                .remote_touched
+                .iter()
+                .map(|(&region, vpns)| (region, vpns.clone()))
+                .collect(),
+            events: r.session.bus.take().events,
+        }
+    }
+
+    /// Runs `steps` twice on fresh runtimes from `setup` — metering
+    /// through [`Kernel::sparse`], then span by span — and asserts the
+    /// two runs are indistinguishable.
+    fn assert_sparse_matches(
+        setup: &dyn Fn() -> (Runtime, Vec<Buffer>),
+        steps: &[Step],
+    ) -> Observed {
+        let batched = observe(setup, steps, true);
+        let reference = observe(setup, steps, false);
+        assert_eq!(
+            batched, reference,
+            "sparse path diverged from the span loop"
+        );
+        reference
+    }
+
+    /// A traced runtime (so event order is compared too) with `params`.
+    fn traced(params: CostParams) -> Runtime {
+        let so = crate::SessionOptions {
+            trace: true,
+            ..Default::default()
+        };
+        Runtime::with_session(
+            params,
+            crate::SessionCtx::with_options(RuntimeOptions::default(), &so),
+        )
+    }
+
+    /// Tiny TLB: evictions (and their trace events) on every few pages.
+    fn small_tlb() -> CostParams {
+        CostParams {
+            gpu_tlb_entries: 8,
+            ..Default::default()
+        }
+    }
+
+    /// `n` one-line touches of `len` bytes, `step` bytes apart from `off`.
+    fn touches(off: u64, step: u64, n: u64, len: u64) -> Vec<(u64, u64, bool)> {
+        (0..n).map(|i| (off + i * step, len, true)).collect()
+    }
+
+    fn kernels(n: usize, calls: &[Call]) -> Vec<Step> {
+        (0..n).map(|_| Step::Kernel(calls.to_vec())).collect()
+    }
+
+    #[test]
+    fn sparse_matches_with_unsorted_and_duplicate_offsets() {
+        let setup = || {
+            let mut r = traced(small_tlb());
+            let a = r.malloc_system(Bytes::new(MIB), "a");
+            let b = r.malloc_system(Bytes::new(MIB), "b");
+            r.cpu_write(&a, 0, MIB);
+            r.cpu_write(&b, 0, MIB);
+            (r, vec![a, b])
+        };
+        let shuffled = vec![
+            (70_000, 4, true),
+            (100, 8, true),
+            (100, 8, true),
+            (5_000, 4, true),
+            (300_000, 4, true),
+            (4, 0, true),
+            (100, 8, true),
+            (3 * 65_536 + 8, 4, true),
+            (70_004, 4096, false),
+            (70_000, 4, true),
+        ];
+        let calls: Vec<Call> = vec![
+            (0, false, shuffled.clone()),
+            (1, true, shuffled.clone()),
+            (0, true, shuffled.iter().rev().copied().collect()),
+        ];
+        // BFS kernel 2 shape: one-span calls alternating two buffers.
+        let mut interleaved: Vec<Call> = Vec::new();
+        for span in touches(0, 40_000, 20, 1) {
+            interleaved.push((0, true, vec![span]));
+            interleaved.push((1, true, vec![span]));
+        }
+        let mut steps = kernels(3, &calls);
+        steps.extend(kernels(2, &interleaved));
+        let seen = assert_sparse_matches(&setup, &steps);
+        assert!(seen
+            .kernels
+            .iter()
+            .all(|(_, t, _)| t.c2c_read + t.c2c_write > 0));
+    }
+
+    #[test]
+    fn sparse_matches_on_page_and_block_crossing_spans() {
+        let setup = || {
+            let mut r = traced(small_tlb());
+            let m = r.cuda_malloc_managed(Bytes::new(6 * MIB), "m");
+            let s = r.malloc_system(Bytes::new(6 * MIB), "s");
+            let mut k = r.launch("gpu_init");
+            k.write(&m, 0, 6 * MIB);
+            k.write(&s, 0, 6 * MIB);
+            k.finish();
+            (r, vec![m, s])
+        };
+        let crossing = vec![
+            (2 * MIB - 8, 16, true),
+            (2 * MIB + 4, 8, true),
+            (64 * KIB - 2, 4, true),
+            (64 * KIB + 8, 4, true),
+            (4 * MIB - 64 * KIB, 128 * KIB, false),
+            (4 * MIB + 12, 4, true),
+            (6 * MIB - 4, 4, true),
+        ];
+        let calls: Vec<Call> = vec![
+            (0, false, crossing.clone()),
+            (0, true, crossing.clone()),
+            (1, false, crossing.clone()),
+            (1, true, crossing),
+        ];
+        assert_sparse_matches(&setup, &kernels(2, &calls));
+    }
+
+    #[test]
+    fn sparse_matches_when_counters_cross_threshold_mid_group() {
+        let setup = || {
+            let mut r = traced(small_tlb());
+            let b = r.malloc_system(Bytes::new(6 * MIB), "hot");
+            r.cpu_write(&b, 0, 6 * MIB);
+            (r, vec![b])
+        };
+        // The first call settles every page the second one touches. The
+        // second fills the TLB, so every new page evicts; then 300
+        // one-line touches on one 64 KiB page (threshold 256), then
+        // groups on further pages of the same and the next regions, the
+        // last one crossing the threshold in the call's final group.
+        let prefill = touches(3 * MIB, 64 * KIB, 12, 4);
+        let mut settle = prefill.clone();
+        settle.extend([(0, 4, true), (64 * KIB, 4, true), (2 * MIB, 4, true)]);
+        settle.push((4 * MIB, 4, true));
+        let mut hot = prefill;
+        hot.extend(touches(0, 128, 300, 4));
+        hot.extend(touches(64 * KIB, 128, 100, 4));
+        hot.extend(touches(2 * MIB, 128, 300, 4));
+        hot.extend(touches(128, 128, 10, 4));
+        hot.extend(touches(4 * MIB, 128, 300, 4));
+        let calls: Vec<Call> = vec![(0, false, settle), (0, false, hot)];
+        let seen = assert_sparse_matches(&setup, &kernels(3, &calls));
+        assert_eq!(seen.kernels[0].1.notifications, 3, "threshold crossed");
+        assert!(seen.kernels.iter().any(|(_, t, _)| t.pages_migrated_in > 0));
+        let notify =
+            |e: &gh_trace::Stamped| matches!(e.event, gh_trace::Event::CounterNotify { .. });
+        assert!(seen.events.iter().any(notify));
+    }
+
+    #[test]
+    fn sparse_matches_with_ats_first_touch_on_group_head() {
+        let setup = || {
+            let mut r = traced(small_tlb());
+            let b = r.malloc_system(Bytes::new(2 * MIB), "fresh");
+            r.cpu_write(&b, MIB, 64 * KIB);
+            (r, vec![b])
+        };
+        // Reads fault pages in clean; writes on them must dirty them.
+        let calls: Vec<Call> = vec![
+            (0, false, touches(0, 16 * KIB, 128, 8)),
+            (0, true, touches(8 * KIB, 16 * KIB, 128, 8)),
+        ];
+        let seen = assert_sparse_matches(&setup, &kernels(2, &calls));
+        assert!(seen.kernels[0].1.ats_faults > 0);
+        assert_eq!(seen.kernels[1].1.ats_faults, 0);
+    }
+
+    #[test]
+    fn sparse_matches_on_partly_gpu_resident_managed_block() {
+        let setup = || {
+            let mut r = traced(CostParams::default());
+            let m = r.cuda_malloc_managed(Bytes::new(4 * MIB), "m");
+            let mut k = r.launch("gpu_init");
+            k.write(&m, 0, 3 * MIB);
+            k.finish();
+            // Pull part of block 0 back to the CPU; the tail of block 1
+            // was never touched.
+            r.cpu_read(&m, 256 * KIB, 256 * KIB);
+            (r, vec![m])
+        };
+        let spans = touches(8, 96 * KIB, 40, 64);
+        let seen = assert_sparse_matches(&setup, &kernels(2, &[(0, true, spans)]));
+        assert!(seen.kernels[0].1.gpu_faults > 0);
+    }
+
+    #[test]
+    fn sparse_matches_when_managed_blocks_evict_each_other() {
+        let setup = || {
+            let mut r = traced(CostParams {
+                gpu_mem_bytes: 7 * MIB,
+                ..Default::default()
+            });
+            let a = r.cuda_malloc_managed(Bytes::new(6 * MIB), "a");
+            let b = r.cuda_malloc_managed(Bytes::new(6 * MIB), "b");
+            r.cpu_write(&a, 0, 6 * MIB);
+            r.cpu_write(&b, 0, 6 * MIB);
+            (r, vec![a, b])
+        };
+        // Each buffer's blocks in turn, revisited: faulting a block in
+        // evicts a block another call settled.
+        let mut calls: Vec<Call> = Vec::new();
+        for round in 0..3u64 {
+            for buf in 0..2 {
+                let spans = (0..3u64)
+                    .flat_map(|blk| touches(blk * 2 * MIB + round * 256, 64 * KIB, 4, 8))
+                    .collect();
+                calls.push((buf, round % 2 == 1, spans));
+            }
+        }
+        let seen = assert_sparse_matches(&setup, &kernels(2, &calls));
+        assert!(seen.kernels.iter().all(|(_, t, _)| t.pages_migrated_in > 0));
+    }
+
+    #[test]
+    fn sparse_matches_when_first_touch_evicts_a_settled_block() {
+        let setup = || {
+            let mut r = traced(CostParams {
+                gpu_mem_bytes: 7 * MIB,
+                ..Default::default()
+            });
+            let m = r.cuda_malloc_managed(Bytes::new(12 * MIB), "m");
+            (r, vec![m])
+        };
+        // GPU first touch of block after block fills HBM and evicts the
+        // coldest blocks of the same buffer, settled earlier in the call.
+        let spans: Vec<_> = [0, 1, 2, 3, 4, 0, 1, 5, 0]
+            .into_iter()
+            .flat_map(|blk: u64| touches(blk * 2 * MIB + 64, 128 * KIB, 3, 8))
+            .collect();
+        let seen = assert_sparse_matches(&setup, &kernels(2, &[(0, true, spans)]));
+        assert!(
+            seen.kernels[0].1.gpu_faults > 6,
+            "evicted blocks fault back"
+        );
+    }
+
+    #[test]
+    fn sparse_matches_on_pinned_and_read_mostly_managed() {
+        let setup = || {
+            let mut r = traced(CostParams::default());
+            let pinned = r.cuda_malloc_managed(Bytes::new(4 * MIB), "pinned");
+            let shared = r.cuda_malloc_managed(Bytes::new(4 * MIB), "shared");
+            let mut k = r.launch("gpu_init");
+            k.write(&pinned, 0, 4 * MIB);
+            k.write(&shared, 0, 4 * MIB);
+            k.finish();
+            r.uvm_pin_cpu(pinned.range);
+            r.cuda_mem_advise(&shared, crate::runtime::MemAdvise::ReadMostly);
+            (r, vec![pinned, shared])
+        };
+        let spans = touches(4, 48 * KIB, 80, 16);
+        let calls: Vec<Call> = vec![(0, false, spans.clone()), (1, true, spans)];
+        let seen = assert_sparse_matches(&setup, &kernels(2, &calls));
+        let remote = |(_, t, _): &(Ns, KernelTraffic, Vec<BufferTraffic>)| t.c2c_read + t.c2c_write;
+        assert!(seen.kernels.iter().all(|k| remote(k) > 0));
+    }
+
+    #[test]
+    fn sparse_matches_when_advice_and_migration_change_between_kernels() {
+        let setup = || {
+            let mut r = traced(CostParams::default());
+            let m = r.cuda_malloc_managed(Bytes::new(4 * MIB), "m");
+            let mut k = r.launch("gpu_init");
+            k.write(&m, 0, 4 * MIB);
+            k.finish();
+            (r, vec![m])
+        };
+        let spans = touches(0, 40 * KIB, 90, 8);
+        let call: Vec<Call> = vec![(0, true, spans)];
+        let steps = [
+            Step::Kernel(call.clone()),
+            Step::Do(|r, b| r.cuda_mem_advise(&b[0], crate::runtime::MemAdvise::ReadMostly)),
+            Step::Kernel(call.clone()),
+            Step::Do(|r, b| r.cuda_mem_advise(&b[0], crate::runtime::MemAdvise::Clear)),
+            Step::Do(|r, b| r.cpu_write(&b[0], 0, 4 * MIB)),
+            Step::Kernel(call.clone()),
+            Step::Kernel(call),
+        ];
+        assert_sparse_matches(&setup, &steps);
+    }
+
+    #[test]
+    fn sparse_matches_on_device_and_pinned_buffers() {
+        let setup = || {
+            let mut r = traced(small_tlb());
+            let d = r.cuda_malloc(Bytes::new(8 * MIB), "d").unwrap();
+            let p = r.cuda_malloc_host(Bytes::new(4 * MIB), "p");
+            (r, vec![d, p])
+        };
+        let mut spans = touches(0, 36 * KIB, 28, 64);
+        spans.push((2 * MIB - 4, 8, true));
+        spans.push((0, 0, true));
+        let calls: Vec<Call> = vec![
+            (0, false, spans.clone()),
+            (1, true, spans.clone()),
+            (0, true, spans),
+        ];
+        assert_sparse_matches(&setup, &kernels(2, &calls));
+    }
+
+    #[test]
+    fn sparse_matches_on_unified_pool() {
+        let setup = || {
+            let params = CostParams {
+                unified_pool: true,
+                gpu_mem_bytes: 128 * MIB,
+                cpu_mem_bytes: 128 * MIB,
+                gpu_driver_baseline: 512 * KIB,
+                system_page_size: 4 * KIB,
+                gpu_tlb_entries: 16,
+                ..Default::default()
+            };
+            let mut r = traced(params);
+            let s = r.malloc_system(Bytes::new(2 * MIB), "s");
+            let m = r.cuda_malloc_managed(Bytes::new(2 * MIB), "m");
+            let p = r.cuda_malloc_host(Bytes::new(2 * MIB), "p");
+            r.cpu_write(&s, 0, MIB);
+            r.cpu_write(&m, 0, 2 * MIB);
+            (r, vec![s, m, p])
+        };
+        let spans = touches(12, 6 * KIB, 300, 8);
+        let calls: Vec<Call> = vec![
+            (0, true, spans.clone()),
+            (1, false, spans.clone()),
+            (2, true, spans),
+        ];
+        let seen = assert_sparse_matches(&setup, &kernels(2, &calls));
+        assert!(seen.kernels[0].1.ats_faults > 0, "untouched half faults in");
     }
 }

@@ -53,6 +53,7 @@ pub mod buffer;
 pub mod kernel;
 pub mod runtime;
 pub mod session;
+mod settled;
 pub mod streams;
 pub mod uvm;
 

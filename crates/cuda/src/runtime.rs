@@ -27,6 +27,7 @@ pub enum MemAdvise {
     Clear,
 }
 use crate::kernel::Kernel;
+use crate::settled::{Settled, Stamp};
 use crate::uvm::UvmState;
 use std::collections::HashMap;
 
@@ -115,6 +116,15 @@ pub struct Runtime {
     /// and re-zeroing the whole slot array (the dominant per-launch host
     /// cost). Reference-forced runs keep the original fresh allocation.
     pub(crate) l2_pool: Option<gh_mem::SetCache>,
+    /// Bumped whenever an allocation's migration policy tightens (a
+    /// `cudaMemAdvise` call or a thrashing pin); with the placement
+    /// epoch it stamps the sparse path's settled memo.
+    pub(crate) policy_gen: u64,
+    /// Settled pages and blocks per buffer for [`Kernel::sparse`],
+    /// indexed by buffer id (ids are small, sequential and never reused,
+    /// and one-span calls need an O(1) take and put); entries leave with
+    /// their buffer.
+    settled: Vec<Option<Settled>>,
 }
 
 /// Cached whole-buffer placement snapshot (see
@@ -205,7 +215,51 @@ impl Runtime {
             migrated_pages: 0,
             placement_cache: HashMap::new(),
             l2_pool: None,
+            policy_gen: 0,
+            settled: Vec::new(),
         }
+    }
+
+    /// What the settled memo's entries are valid under right now.
+    pub(crate) fn settled_stamp(&self) -> Stamp {
+        Stamp {
+            epoch: self.os.system_pt.placement_epoch(),
+            policy: self.policy_gen,
+        }
+    }
+
+    /// Takes `buf`'s settled memo out for one sparse call, validated
+    /// against the current stamp; [`Runtime::put_settled`] returns it.
+    pub(crate) fn take_settled(&mut self, buf: &Buffer) -> Settled {
+        let stamp = self.settled_stamp();
+        match self.settled.get_mut(buf.id as usize).and_then(Option::take) {
+            Some(mut memo) => {
+                memo.validate(stamp);
+                memo
+            }
+            None => Settled::new(buf.range, self.os.system_pt.page_size(), stamp),
+        }
+    }
+
+    /// Parks `buf`'s settled memo until its next sparse call.
+    pub(crate) fn put_settled(&mut self, buf: u32, memo: Settled) {
+        let i = buf as usize;
+        if self.settled.len() <= i {
+            self.settled.resize_with(i + 1, || None);
+        }
+        self.settled[i] = Some(memo);
+    }
+
+    /// Whether a managed block is settled: the allocation migrates
+    /// freely (not advised off, not thrash-pinned) and the block's
+    /// buffer-clipped range is wholly GPU-resident.
+    pub(crate) fn managed_block_settled(&self, block: u64, buf_range: gh_os::VaRange) -> bool {
+        if self.migration_advised_off(buf_range.addr) || self.uvm.is_pinned_cpu(buf_range) {
+            return false;
+        }
+        let clip = crate::uvm::block_range(block, buf_range);
+        let vpns = self.os.system_pt.vpn_range(clip.addr, clip.len);
+        self.os.system_pt.count_resident_in(vpns, Node::Gpu) == vpns.count()
     }
 
     /// Classifies the pages of a kernel span into placement runs, serving
@@ -574,6 +628,9 @@ impl Runtime {
         self.allocs
             .remove(&buf.id)
             .unwrap_or_else(|| panic!("double free or unknown buffer {}", buf.id)); // gh-audit: allow(no-unwrap-in-lib) -- double free is a caller bug; fail fast like the driver
+        if let Some(memo) = self.settled.get_mut(buf.id as usize) {
+            *memo = None;
+        }
         let dt = match buf.kind {
             BufKind::Device => {
                 let page = self.params.gpu_page();
@@ -714,6 +771,7 @@ impl Runtime {
             matches!(buf.kind, BufKind::System | BufKind::Managed),
             "cudaMemAdvise applies to unified memory"
         );
+        self.policy_gen = self.policy_gen.saturating_add(1);
         match advice {
             MemAdvise::PreferredLocation(node) => {
                 self.os

@@ -69,6 +69,9 @@ impl UvmState {
 
     /// Marks `block` most-recently-used (inserting it if absent).
     pub(crate) fn touch_lru(&mut self, block: u64) {
+        if self.lru.back() == Some(&block) {
+            return;
+        }
         if let Some(pos) = self.lru.iter().position(|&b| b == block) {
             self.lru.remove(pos);
         }
@@ -87,6 +90,12 @@ impl UvmState {
             .retain(|&b| b * BLOCK >= range.end() || (b + 1) * BLOCK <= range.addr);
         self.fallback_counts.remove(&range.addr);
         self.pinned_cpu.remove(&range.addr);
+    }
+
+    /// Blocks in LRU order, coldest first.
+    #[cfg(test)]
+    pub(crate) fn lru_order(&self) -> Vec<u64> {
+        self.lru.iter().copied().collect()
     }
 
     /// Whether the driver pinned this allocation to CPU memory.
@@ -375,6 +384,7 @@ impl Runtime {
             self.uvm.drop_block(b);
         }
         self.uvm.pinned_cpu.insert(buf_range.addr);
+        self.policy_gen = self.policy_gen.saturating_add(1);
         self.uvm.evictions = self.uvm.evictions.saturating_add(1);
         self.session.perf.count(gh_perf::Ctr::MigratedPages, pages);
         if self.session.bus.is_on() {
@@ -569,6 +579,11 @@ mod tests {
         s.touch_lru(2);
         s.touch_lru(1);
         assert_eq!(s.lru, VecDeque::from(vec![2, 1]));
+        // Re-touching the most recent block leaves the order as is.
+        s.touch_lru(1);
+        s.touch_lru(3);
+        s.touch_lru(3);
+        assert_eq!(s.lru, VecDeque::from(vec![2, 1, 3]));
     }
 
     #[test]

@@ -343,23 +343,47 @@ fn run_extension(
 }
 
 /// Rejects QV sizes the model cannot run: fewer than 2 qubits (no
-/// two-qubit layer to generate), or a statevector larger than the free
-/// simulated memory of a fresh machine (which also covers sizes whose
-/// byte count would overflow a `u64`).
-fn check_qv_size(q: u32, free: u64, platform: &str) {
+/// two-qubit layer to generate), or a statevector that `mode` cannot
+/// place on the fresh machine `m` (which also covers sizes whose byte
+/// count would overflow a `u64`). See [`qv_capacity`].
+fn check_qv_size(q: u32, m: &Machine, mode: MemMode, platform: &str) {
     if q < 2 {
         fail(CliError::Invalid(format!(
             "qv needs at least 2 qubits, got {q}"
         )));
     }
+    let (cap, rule) = qv_capacity(m, mode);
     let fits = q <= grace_mem::qsim::statevector_bytes(0).leading_zeros()
-        && grace_mem::qsim::statevector_bytes(q) <= free;
+        && grace_mem::qsim::statevector_bytes(q) <= cap;
     if !fits {
         fail(CliError::Invalid(format!(
-            "qv {q}: the statevector exceeds the {} MiB of free simulated memory on {platform}",
-            free / MIB
+            "qv {q}: the statevector exceeds the {} MiB {rule} on {platform}",
+            cap / MIB
         )));
     }
+}
+
+/// The largest statevector `mode` can place on the fresh machine `m`,
+/// and how that bound reads in an error. System memory spreads over
+/// both tiers, as does everything in a unified pool. On two tiers, a
+/// statevector that outgrows HBM must fit CPU memory whole: managed
+/// memory pins a thrashing allocation there, and the explicit pipeline
+/// streams through a pinned host copy (a device copy keeps 2 MiB of HBM
+/// for the runtime).
+fn qv_capacity(m: &Machine, mode: MemMode) -> (u64, &'static str) {
+    let free = m.rt.mem_free();
+    if mode == MemMode::System || m.rt.params().unified_pool {
+        return (free, "of free simulated memory");
+    }
+    let gpu = m.rt.gpu_free();
+    let (device, rule) = match mode {
+        MemMode::Explicit => (
+            gpu.saturating_sub(2 * MIB),
+            "explicit copies can place (HBM, or a pinned host copy)",
+        ),
+        _ => (gpu, "managed memory can place (HBM, or CPU memory whole)"),
+    };
+    (device.max(free - gpu), rule)
 }
 
 fn main() {
@@ -430,7 +454,7 @@ fn main() {
                 ..Default::default()
             };
             let m = machine(&f, &so);
-            check_qv_size(q, m.rt.mem_free(), f.platform.caps().name);
+            check_qv_size(q, &m, f.mode, f.platform.caps().name);
             let perf = m.rt.session().perf.clone();
             let r = grace_mem::run_qv(m, f.mode, &p);
             print_report_maybe_json(

@@ -58,6 +58,22 @@ fn quantum_volume_larger_than_simulated_memory_is_rejected() {
 }
 
 #[test]
+fn quantum_volume_the_mode_cannot_place_is_rejected() {
+    // 26 qubits (512 MiB) fit gh200's two tiers together, so system
+    // memory runs it; but it outgrows HBM and does not fit the 480 MiB
+    // of CPU memory whole, where a thrash-pinned managed allocation or
+    // the explicit pipeline's pinned host copy must live.
+    assert_rejected(
+        &["qv", "26", "--mode", "managed"],
+        "managed memory can place",
+    );
+    assert_rejected(
+        &["qv", "26", "--mode", "explicit"],
+        "explicit copies can place",
+    );
+}
+
+#[test]
 fn valid_sizes_still_run() {
     let over = grace_mem(&["app", "hotspot", "--small", "--oversubscribe", "1.5"]);
     assert!(

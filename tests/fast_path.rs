@@ -60,8 +60,9 @@ fn batched_and_reference_paths_agree_under_tracing() {
     // TlbEvict / CounterNotify / PageFault events in exactly the order
     // the per-page walk does (it falls back per page for CPU-resident
     // runs when counters are armed under tracing). srad trips the
-    // access-counter migration engine; needle stays fault-heavy.
-    for app in [AppId::Srad, AppId::Needle] {
+    // access-counter migration engine; needle stays fault-heavy; bfs
+    // meters its gathers and scatters through the sparse span path.
+    for app in [AppId::Srad, AppId::Needle, AppId::Bfs] {
         for mode in [MemMode::System, MemMode::Managed] {
             let p = platform::gh200();
             let cfg = MachineConfig::default();
@@ -99,6 +100,45 @@ fn batched_and_reference_paths_agree_under_tracing() {
                 "{}/{mode}: batched run's trace event stream diverged",
                 app.name()
             );
+        }
+    }
+}
+
+/// The full-size irregular apps — where nearly every span takes the
+/// sparse path's settled shortcut — against the reference walk, with a
+/// quiet session and again with trace and sanitizer armed. Minutes in a
+/// debug build; run it in release:
+/// `cargo test --release --test fast_path -- --ignored`.
+#[test]
+#[ignore = "full-size runs; use --release"]
+fn sparse_path_matches_reference_at_full_size() {
+    let p = platform::gh200();
+    let cfg = MachineConfig::default();
+    let armed = SessionOptions {
+        trace: true,
+        sanitize: Some(true),
+        ..Default::default()
+    };
+    for app in [AppId::Needle, AppId::Bfs] {
+        for mode in [MemMode::System, MemMode::Managed] {
+            for so in [SessionOptions::default(), armed.clone()] {
+                let run = |so: &SessionOptions| {
+                    let m = p.machine_session(&cfg, so).expect("valid config");
+                    let r = app.run(m, mode);
+                    (r.to_json(), r.chrome_trace())
+                };
+                let reference = run(&SessionOptions {
+                    access_ref: true,
+                    ..so.clone()
+                });
+                assert!(reference.1.is_some() == so.trace);
+                assert!(
+                    reference == run(&so),
+                    "{}/{mode} (trace: {}): sparse path diverged at full size",
+                    app.name(),
+                    so.trace
+                );
+            }
         }
     }
 }
