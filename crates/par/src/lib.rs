@@ -17,10 +17,14 @@
 //!   no `Arc` ceremony and still get work-stealing-style load balance via a
 //!   shared chunk counter.
 //!
-//! Determinism note: scheduling is non-deterministic, so only *associative
-//! and commutative* reductions should be used with [`scope::par_map_reduce`]
-//! when bit-exact reproducibility matters. The simulator's virtual-time
-//! accounting never depends on scheduling order.
+//! Determinism note: scheduling is non-deterministic, so the primitives
+//! are written so that results do not depend on it. The loops hand each
+//! index or chunk to exactly one worker, so a loop whose iterations write
+//! disjoint data is deterministic, and [`scope::par_map_reduce`] folds over a fixed chunk grid (independent of
+//! the worker count) and combines the chunk partials in chunk order. A
+//! float sum therefore gives the same bits serially, on 2 workers and on
+//! 16. The simulator's virtual-time accounting never depends on
+//! scheduling order either.
 //!
 //! ```
 //! use gh_par::{par_for, par_map_reduce, Grain};

@@ -139,58 +139,34 @@ where
     });
 }
 
+/// Iterations folded into one partial by [`par_map_reduce`]. A constant,
+/// so the chunk grid — and with it every floating-point fold — is the
+/// same for any worker count on any machine.
+const REDUCE_CHUNK: usize = 4096;
+
 /// Parallel map-reduce over an index range. `map(i)` produces a value per
-/// iteration; values are folded with `reduce`, starting from `identity`.
-/// `reduce` must be associative and commutative.
+/// iteration. The range is cut into a fixed grid of [`REDUCE_CHUNK`]
+/// iterations; each chunk folds its values in index order starting from
+/// `identity`, and the chunk partials are then folded in chunk order,
+/// again from `identity`. The grouping never depends on the worker count
+/// or on scheduling, so a non-associative `reduce` (a float sum) gives
+/// the same bits serially and on any number of workers.
 pub fn par_map_reduce<A, M, R>(range: std::ops::Range<usize>, identity: A, map: M, reduce: R) -> A
 where
     A: Send + Sync + Clone,
     M: Fn(usize) -> A + Sync,
     R: Fn(A, A) -> A + Sync + Send,
 {
-    let total = range.len();
-    if total == 0 {
-        return identity;
-    }
-    let workers = effective_workers(total);
-    if workers == 1 {
-        let mut acc = identity;
-        for i in range {
-            acc = reduce(acc, map(i));
-        }
-        return acc;
-    }
-    let chunk = Grain::Auto.chunk_len(total, workers);
-    let cursor = AtomicUsize::new(0);
-    let start = range.start;
-    let partials = std::sync::Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut acc = identity.clone();
-                let mut touched = false;
-                loop {
-                    let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= total {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(total);
-                    for i in lo..hi {
-                        acc = reduce(acc, map(start + i));
-                        touched = true;
-                    }
-                }
-                if touched {
-                    partials.lock().unwrap().push(acc);
-                }
-            });
-        }
-    });
-    partials
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .fold(identity, reduce)
+    let (start, end) = (range.start, range.end);
+    let n_chunks = range.len().div_ceil(REDUCE_CHUNK);
+    let fold_chunk = |c: usize| {
+        let lo = start + c * REDUCE_CHUNK;
+        let hi = (lo + REDUCE_CHUNK).min(end);
+        (lo..hi).fold(identity.clone(), |acc, i| reduce(acc, map(i)))
+    };
+    let mut partials = vec![identity.clone(); n_chunks];
+    par_chunks_mut(&mut partials, 1, |c, slot| slot[0] = fold_chunk(c));
+    partials.into_iter().fold(identity, reduce)
 }
 
 #[cfg(test)]
@@ -268,6 +244,23 @@ mod tests {
     fn par_map_reduce_empty_returns_identity() {
         let s = par_map_reduce(0..0, 42u64, |_| 0, |a, b| a + b);
         assert_eq!(s, 42);
+    }
+
+    #[test]
+    fn par_map_reduce_float_sum_is_bit_stable() {
+        // Floating-point addition is not associative: the result is only
+        // well defined because the chunk grid and the fold order are fixed.
+        let f = |i: usize| 1.0f64 / (i as f64 + 1.0);
+        let n = 3 * REDUCE_CHUNK + 17;
+        let expected = (0..n)
+            .collect::<Vec<_>>()
+            .chunks(REDUCE_CHUNK)
+            .map(|c| c.iter().fold(0.0f64, |a, &i| a + f(i)))
+            .fold(0.0f64, |a, b| a + b);
+        for _ in 0..20 {
+            let got = par_map_reduce(0..n, 0.0f64, f, |a, b| a + b);
+            assert_eq!(got.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

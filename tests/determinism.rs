@@ -25,10 +25,12 @@ fn app_runs_are_bit_deterministic() {
 
 #[test]
 fn qv_timeline_is_deterministic_under_parallel_compute() {
-    // The statevector math runs on the work-stealing pool; the virtual
-    // timeline must not depend on scheduling.
+    // The statevector math runs on scoped worker threads; neither the
+    // virtual timeline nor the checksum may depend on scheduling or on
+    // the worker count. 16 qubits spread both the gate kernels and the
+    // checksum reduction over several worker chunks.
     let p = QsimParams {
-        sim_qubits: 12,
+        sim_qubits: 16,
         seed: 4,
         compute_amplitudes: true,
         prefetch: false,
@@ -39,11 +41,14 @@ fn qv_timeline_is_deterministic_under_parallel_compute() {
     let b = grace_mem::run_qv(gh200(), MemMode::Managed, &p);
     assert_eq!(a.phases, b.phases);
     assert_eq!(a.traffic, b.traffic);
-    // Float reductions over the pool are order-sensitive only across
-    // different partials; the checksum uses per-thread partial sums, so
-    // allow tiny wobble.
-    let rel = (a.checksum - b.checksum).abs() / a.checksum.abs().max(1e-12);
-    assert!(rel < 1e-9, "{} vs {}", a.checksum, b.checksum);
+    // The checksum is a fixed-grid, fixed-order reduction: exact bits.
+    assert_eq!(
+        a.checksum.to_bits(),
+        b.checksum.to_bits(),
+        "{} vs {}",
+        a.checksum,
+        b.checksum
+    );
 }
 
 #[test]

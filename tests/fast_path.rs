@@ -143,6 +143,49 @@ fn sparse_path_matches_reference_at_full_size() {
     }
 }
 
+/// Full-size srad (default parameters, seed 23) in every mode: the
+/// row-parallel kernels must keep the final image's checksum bits of the
+/// per-pixel scalar loops they replaced.
+#[test]
+#[ignore = "full-size runs; use --release"]
+fn srad_full_size_checksum_is_pinned() {
+    use grace_mem::apps::srad::{run, SradParams};
+    for mode in MemMode::ALL {
+        let r = run(platform::gh200().machine(), mode, &SradParams::default());
+        assert_eq!(r.checksum.to_bits(), 0x4154_972a_b9e9_1600, "{mode}");
+    }
+}
+
+/// FNV-1a over each amplitude's `re` then `im` bits, little-endian, in
+/// basis-index order.
+fn amplitude_fnv(s: &grace_mem::qsim::StateVector) -> u64 {
+    let bytes: Vec<u8> = s
+        .amps()
+        .iter()
+        .flat_map(|a| [a.re.to_bits().to_le_bytes(), a.im.to_bits().to_le_bytes()])
+        .flatten()
+        .collect();
+    grace_mem::jobs::fnv1a64(&bytes)
+}
+
+/// Full-size QV 20: the split-plane gate kernels must keep the final
+/// amplitudes of the interleaved per-group loop they replaced.
+#[test]
+#[ignore = "full-size runs; use --release"]
+fn qv20_final_amplitudes_are_pinned() {
+    use grace_mem::qsim::{QvCircuit, StateVector};
+    for (seed, want) in [
+        (2024u64, 0x9a13_66ab_9e39_7d14u64),
+        (7, 0x75a7_e4a2_fd30_f3e2),
+    ] {
+        let mut s = StateVector::zero_state(20);
+        for g in &QvCircuit::generate(20, seed).gates {
+            s.apply_gate2(&g.gate, g.q0, g.q1);
+        }
+        assert_eq!(amplitude_fnv(&s), want, "seed {seed}");
+    }
+}
+
 /// Regression for the counters/UVM determinism fix: notification state
 /// lives in `BTreeMap`s, so the notification *order* a kernel sequence
 /// drives into a RunReport is a pure function of the access pattern.
