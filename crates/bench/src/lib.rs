@@ -31,7 +31,6 @@ pub mod fig12_qv_throughput;
 pub mod fig13_qv_oversub_breakdown;
 pub mod future_work;
 pub mod grand_matrix;
-pub mod perf_suite;
 pub mod platform_matrix;
 pub mod scoreboard;
 pub mod tables;

@@ -1118,7 +1118,7 @@ impl<'r> Kernel<'r> {
         let name = format!("{}#{}", self.name, self.rt.kernel_seq);
         self.rt.traffic.push(&name, self.t);
         self.rt.kernel_times.push((name.clone(), time));
-        self.rt.trace(&name, "kernel", self.start);
+        self.rt.session.bus.span_closed(&name, "kernel", self.start);
         let mut by_buffer: Vec<BufferTraffic> = self
             .by_buffer
             .iter()

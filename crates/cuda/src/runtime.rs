@@ -95,8 +95,6 @@ pub struct Runtime {
     pub(crate) remote_touched: HashMap<u64, std::collections::BTreeSet<Vpn>>,
     /// Per-kernel durations `(name, ns)` in launch order.
     pub(crate) kernel_times: Vec<(String, gh_mem::clock::Ns)>,
-    /// Timeline events for Chrome-trace export.
-    pub(crate) timeline: Vec<gh_profiler::TraceEvent>,
     next_buf: u32,
     ctx_ready: bool,
     pub(crate) kernel_seq: u64,
@@ -207,7 +205,6 @@ impl Runtime {
             pending_notifs: std::collections::VecDeque::new(),
             remote_touched: HashMap::new(),
             kernel_times: Vec::new(),
-            timeline: Vec::new(),
             next_buf: 1,
             ctx_ready: false,
             kernel_seq: 0,
@@ -446,30 +443,6 @@ impl Runtime {
         &self.kernel_times
     }
 
-    /// Timeline events recorded so far (kernels, copies, context init).
-    pub fn timeline(&self) -> &[gh_profiler::TraceEvent] {
-        &self.timeline
-    }
-
-    /// Exports the timeline as Chrome-trace JSON (open in
-    /// chrome://tracing or Perfetto).
-    pub fn export_chrome_trace(&self) -> String {
-        gh_profiler::to_chrome_json(&self.timeline)
-    }
-
-    pub(crate) fn trace(&mut self, name: &str, cat: &'static str, start: Ns) {
-        let dur = self.now().saturating_sub(start);
-        // Mirror onto the observability bus so exported traces carry the
-        // same intervals without a second bookkeeping path.
-        self.session.bus.span_closed(name, cat, start);
-        self.timeline.push(gh_profiler::TraceEvent {
-            name: name.to_string(),
-            cat,
-            start,
-            dur,
-        });
-    }
-
     /// Total access-counter notifications raised so far.
     pub fn notifications(&self) -> u64 {
         self.counters.total_notifications()
@@ -517,7 +490,9 @@ impl Runtime {
             let start = self.now();
             let dt = self.params.ctx_init;
             self.tick(dt);
-            self.trace("cuda context init", "runtime", start);
+            self.session
+                .bus
+                .span_closed("cuda context init", "runtime", start);
         }
     }
 
@@ -727,7 +702,7 @@ impl Runtime {
             Some(Direction::D2H) => "memcpy D2H",
             None => "memcpy",
         };
-        self.trace(label, "copy", start);
+        self.session.bus.span_closed(label, "copy", start);
         if self.session.bus.is_on() {
             if let (Some(d), false) = (dir, self.params.unified_pool) {
                 let page = self.os.system_pt.page_size();
@@ -849,7 +824,7 @@ impl Runtime {
             + CostParams::transfer_ns(Bytes::new(len), self.params.hbm_bw);
         let start = self.now();
         self.tick(dt);
-        self.trace("memset", "copy", start);
+        self.session.bus.span_closed("memset", "copy", start);
         dt
     }
 

@@ -1,8 +1,4 @@
-//! Host-side probes: peak RSS and the civil date. Wall-clock reads are
-//! sanctioned here and nowhere else in the workspace (see the crate docs
-//! and the `no-wall-clock` audit rule's gh-perf exemption).
-
-use std::time::{SystemTime, UNIX_EPOCH};
+//! Host-side probes: the process's peak RSS.
 
 /// Peak resident set size of this process in bytes, from
 /// `/proc/self/status` `VmHWM`. Returns 0 on platforms without procfs —
@@ -24,31 +20,6 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
     Some(kib * 1024)
 }
 
-/// Today's civil date as `YYYY-MM-DD` (UTC), for `BENCH_<date>.json`
-/// file names. Falls back to `1970-01-01` if the host clock is broken.
-pub fn host_date() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Days-since-epoch to (year, month, day), Howard Hinnant's civil
-/// algorithm (proleptic Gregorian).
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097); // [0, 146096]
-    let yoe = (doe - doe / 1460 + doe / 36524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,23 +34,6 @@ mod tests {
     fn missing_vm_hwm_is_none() {
         assert_eq!(parse_vm_hwm("Name:\tx\n"), None);
         assert_eq!(parse_vm_hwm("VmHWM:\tgarbage kB\n"), None);
-    }
-
-    #[test]
-    fn civil_epoch_and_leap_days() {
-        assert_eq!(civil_from_days(0), (1970, 1, 1));
-        // 2000-02-29 is day 11016 since the epoch.
-        assert_eq!(civil_from_days(11_016), (2000, 2, 29));
-        // 2026-08-08 is day 20673.
-        assert_eq!(civil_from_days(20_673), (2026, 8, 8));
-    }
-
-    #[test]
-    fn host_date_is_well_formed() {
-        let d = host_date();
-        assert_eq!(d.len(), 10, "{d}");
-        assert_eq!(d.as_bytes()[4], b'-');
-        assert_eq!(d.as_bytes()[7], b'-');
     }
 
     #[test]

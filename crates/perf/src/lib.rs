@@ -6,8 +6,9 @@
 //! milliseconds each experiment phase costs, how fast the hot paths run
 //! (TLB walks/s, faults/s, migrated pages/s), and the headline
 //! **sim-speed ratio** — virtual nanoseconds advanced per host
-//! millisecond. That trajectory is what `BENCH_*.json` at the repo root
-//! tracks across PRs (see `docs/observability.md`).
+//! millisecond. The seeded `gm-bench` harness (`gmbench/`) reports these
+//! figures as medians with spread, end to end and per layer (see
+//! `gmbench/README.md`).
 //!
 //! # The wall-clock carve-out
 //!
@@ -52,5 +53,5 @@ mod host;
 mod report;
 
 pub use collector::{Ctr, Perf, SpanGuard};
-pub use host::{host_date, peak_rss_bytes};
+pub use host::peak_rss_bytes;
 pub use report::{PerfData, PhasePerf, SpanAgg};

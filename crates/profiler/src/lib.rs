@@ -18,10 +18,8 @@ pub mod phases;
 pub mod plot;
 pub mod profiler;
 pub mod report;
-pub mod trace;
 
 pub use phases::{Phase, PhaseTimer, PhaseTimes};
 pub use plot::{ascii_chart, plot_memory_profile};
 pub use profiler::{MemProfiler, Sample};
 pub use report::Csv;
-pub use trace::{to_chrome_json, TraceEvent};

@@ -1,9 +1,9 @@
 //! Minimal JSON writing helpers shared by every exporter in the workspace
-//! (`gh-trace` exporters, `gh-profiler`'s Chrome trace, `gh-sim`'s run
-//! report), so string escaping lives in exactly one place — plus a small
-//! recursive-descent reader ([`Value::parse`]) for the consumers that
-//! load those dumps back (the perf-suite baseline comparator, the
-//! exporter roundtrip tests). No external crates: the build is offline.
+//! (`gh-trace` exporters, `gh-perf`'s profile, `gh-sim`'s run report), so
+//! string escaping lives in exactly one place — plus a small
+//! recursive-descent reader ([`Value::parse`]) for the tests that load
+//! those dumps back (the exporter roundtrip tests). No external crates:
+//! the build is offline.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,5 +1,5 @@
-//! Timeline export: run SRAD and dump a Chrome-trace JSON of every
-//! kernel, copy and migration event.
+//! Timeline export: run SRAD on a traced session and dump a Chrome-trace
+//! JSON of every phase, kernel, copy and migration event.
 //!
 //! ```sh
 //! cargo run --release --example chrome_trace > srad_trace.json
@@ -7,7 +7,7 @@
 //! ```
 
 use grace_mem::apps::srad::{self, SradParams};
-use grace_mem::platform;
+use grace_mem::{platform, MachineConfig, MemMode, SessionOptions};
 
 fn main() {
     let p = SradParams {
@@ -15,33 +15,20 @@ fn main() {
         iterations: 6,
         ..Default::default()
     };
-    // Run once, steal the runtime's timeline before the machine closes.
-    let mut m = platform::gh200().machine();
-    // Inline a small slice of the app so we keep access to the runtime:
-    // allocate, init, two iterations of metered kernels.
-    let bytes = (p.size * p.size * 4) as u64;
-    m.rt.cuda_init();
-    let j = m.rt.malloc_system(gh_units::Bytes::new(bytes), "J");
-    let c = m.rt.cuda_malloc_managed(gh_units::Bytes::new(bytes), "c");
-    m.rt.cpu_write(&j, 0, bytes);
-    for i in 0..p.iterations {
-        let mut k = m.rt.launch(&format!("srad1_iter{i}"));
-        k.read(&j, 0, bytes);
-        k.write(&c, 0, bytes);
-        k.compute((p.size * p.size * 30) as u64);
-        k.finish();
-        let mut k = m.rt.launch(&format!("srad2_iter{i}"));
-        k.read(&c, 0, bytes);
-        k.write(&j, 0, bytes);
-        k.compute((p.size * p.size * 12) as u64);
-        k.finish();
-    }
-    let json = m.rt.export_chrome_trace();
-    println!("{json}");
+    let so = SessionOptions {
+        trace: true,
+        ..Default::default()
+    };
+    let m = platform::gh200()
+        .machine_session(&MachineConfig::default(), &so)
+        .expect("default config is valid");
+    let r = srad::run(m, MemMode::System, &p);
+    let t = r.trace.as_ref().expect("traced session carries the trace");
+    println!("{}", gh_trace::export::chrome_trace(t));
     eprintln!(
-        "{} timeline events over {:.3} ms of virtual time",
-        m.rt.timeline().len(),
-        m.rt.now() as f64 / 1e6
+        "{} spans and {} events over {:.3} ms of virtual time",
+        t.spans.len(),
+        t.events.len(),
+        r.reported_total() as f64 / 1e6
     );
-    let _ = srad::reference; // keep the full app linked for doc purposes
 }

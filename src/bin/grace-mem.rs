@@ -20,18 +20,24 @@ fn usage() -> ! {
   grace-mem app <needle|pathfinder|bfs|hotspot|srad>
             [--platform gh200|mi300a] [--mode explicit|system|managed]
             [--page 4k|64k|2m] [--no-migration] [--oversubscribe <ratio>]
-            [--small] [--trace-out <json-file>]
+            [--small] [--json] [--trace-out <json-file>]
             [--perf] [--perf-out <json-file>]
+  grace-mem app <kmeans|lud|stream|gups|pointer-chase>
+            [--platform gh200|mi300a] [--mode explicit|system|managed]
+            [--page 4k|64k|2m] [--no-migration] [--json]
+            [--trace-out <json-file>] [--perf] [--perf-out <json-file>]
   grace-mem qv <sim_qubits>
             [--platform gh200|mi300a] [--mode explicit|system|managed]
-            [--page 4k|64k|2m] [--prefetch] [--amplitudes]
+            [--page 4k|64k|2m] [--prefetch] [--amplitudes] [--json]
             [--trace-out <json-file>] [--perf] [--perf-out <json-file>]
   grace-mem replay <trace-file>
             [--platform gh200|mi300a] [--mode explicit|system|managed]
-            [--page 4k|64k|2m] [--no-migration] [--trace-out <json-file>]
-            [--perf] [--perf-out <json-file>]
+            [--page 4k|64k|2m] [--no-migration] [--json]
+            [--trace-out <json-file>] [--perf] [--perf-out <json-file>]
   grace-mem advise <trace-file> [--platform gh200|mi300a]
   grace-mem suite [--jobs <n>] [--small]
+
+A flag outside its subcommand's line above is an error, never ignored.
 
 platforms: gh200 (default; two tiers + migration), mi300a (one unified
            physical pool, no page migration). The default page size is
@@ -111,7 +117,51 @@ struct Flags {
     jobs: usize,
 }
 
-fn parse_flags(args: &[String]) -> Flags {
+/// The flags each subcommand honours, as its usage line lists them.
+const APP_FLAGS: &[&str] = &[
+    "--platform",
+    "--mode",
+    "--page",
+    "--no-migration",
+    "--oversubscribe",
+    "--small",
+    "--json",
+    "--trace-out",
+    "--perf",
+    "--perf-out",
+];
+/// `replay` and the extension workloads, which have no `--small` size or
+/// oversubscription re-run.
+const RUN_FLAGS: &[&str] = &[
+    "--platform",
+    "--mode",
+    "--page",
+    "--no-migration",
+    "--json",
+    "--trace-out",
+    "--perf",
+    "--perf-out",
+];
+const QV_FLAGS: &[&str] = &[
+    "--platform",
+    "--mode",
+    "--page",
+    "--prefetch",
+    "--amplitudes",
+    "--json",
+    "--trace-out",
+    "--perf",
+    "--perf-out",
+];
+const ADVISE_FLAGS: &[&str] = &["--platform"];
+const SUITE_FLAGS: &[&str] = &["--jobs", "--small"];
+
+/// The extension workloads `app` runs through their own entry points.
+const EXTENSIONS: &[&str] = &["kmeans", "lud", "stream", "gups", "pointer-chase"];
+
+/// Parses `args` for subcommand `cmd`. A flag outside `accepted` fails
+/// in one line instead of being silently ignored.
+fn parse_flags(args: &[String], cmd: &str, accepted: &[&str]) -> Flags {
     let mut f = Flags {
         platform: platform::gh200(),
         mode: MemMode::System,
@@ -129,6 +179,12 @@ fn parse_flags(args: &[String]) -> Flags {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !accepted.contains(&a.as_str()) {
+            if a.starts_with("--") {
+                fail(CliError::Invalid(format!("{a} is not supported by {cmd}")));
+            }
+            usage()
+        }
         match a.as_str() {
             "--platform" => {
                 let Some(name) = it.next() else { usage() };
@@ -317,18 +373,10 @@ fn print_report(label: &str, r: &grace_mem::RunReport) {
     }
 }
 
-fn run_extension(
-    name: &str,
-    flag_args: &[String],
-) -> Option<(grace_mem::RunReport, gh_perf::Perf)> {
+fn run_extension(name: &str, f: &Flags) -> (grace_mem::RunReport, gh_perf::Perf) {
     use grace_mem::apps::{kmeans, lud, micro};
-    // Cheap membership check first so unknown names never boot a machine.
-    if !matches!(name, "kmeans" | "lud" | "stream" | "gups" | "pointer-chase") {
-        return None;
-    }
-    let f = parse_flags(flag_args);
-    let so = session_opts(&f);
-    let m = machine(&f, &so);
+    let so = session_opts(f);
+    let m = machine(f, &so);
     let perf = m.rt.session().perf.clone();
     let mp = micro::MicroParams::default();
     let r = match name {
@@ -337,9 +385,9 @@ fn run_extension(
         "stream" => micro::stream(m, f.mode, &mp),
         "gups" => micro::gups(m, f.mode, &mp),
         "pointer-chase" => micro::pointer_chase(m, f.mode, &mp),
-        _ => unreachable!("membership checked above"),
+        _ => unreachable!("callers pass a name from EXTENSIONS"),
     };
-    Some((r, perf))
+    (r, perf)
 }
 
 /// Rejects QV sizes the model cannot run: fewer than 2 qubits (no
@@ -390,6 +438,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
+            parse_flags(&args[1..], "list", &[]);
             println!("paper applications:");
             for app in AppId::ALL {
                 println!("  {:<14} {}", app.name(), app.pattern());
@@ -407,10 +456,10 @@ fn main() {
         }
         Some("app") => {
             let Some(name) = args.get(1) else { usage() };
-            // Extension workloads run through their own entry points.
-            if let Some((report, perf)) = run_extension(name, &args[2..]) {
-                let f = parse_flags(&args[2..]);
-                print_report_maybe_json(&name.to_string(), &report, f.json);
+            if EXTENSIONS.contains(&name.as_str()) {
+                let f = parse_flags(&args[2..], &format!("app {name}"), RUN_FLAGS);
+                let (report, perf) = run_extension(name, &f);
+                print_report_maybe_json(name, &report, f.json);
                 maybe_dump_trace(&report, &f);
                 maybe_dump_perf(&f, &perf);
                 return;
@@ -418,7 +467,7 @@ fn main() {
             let Some(app) = AppId::ALL.iter().find(|a| a.name() == name) else {
                 usage()
             };
-            let f = parse_flags(&args[2..]);
+            let f = parse_flags(&args[2..], "app", APP_FLAGS);
             let so = session_opts(&f);
             let mut m = machine(&f, &so);
             let perf = m.rt.session().perf.clone();
@@ -445,7 +494,7 @@ fn main() {
             let Some(q) = args.get(1).and_then(|s| s.parse::<u32>().ok()) else {
                 usage()
             };
-            let f = parse_flags(&args[2..]);
+            let f = parse_flags(&args[2..], "qv", QV_FLAGS);
             let so = session_opts(&f);
             let p = QsimParams {
                 sim_qubits: q,
@@ -468,7 +517,7 @@ fn main() {
         Some("replay") => {
             let Some(path) = args.get(1) else { usage() };
             let explicit_mode = args[2..].iter().any(|a| a == "--mode");
-            let f = parse_flags(&args[2..]);
+            let f = parse_flags(&args[2..], "replay", RUN_FLAGS);
             let so = session_opts(&f);
             let trace = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(CliError::Read(path.clone(), e)));
@@ -487,7 +536,7 @@ fn main() {
             }
         }
         Some("suite") => {
-            let f = parse_flags(&args[1..]);
+            let f = parse_flags(&args[1..], "suite", SUITE_FLAGS);
             let so = session_opts(&f);
             let specs = grace_mem::jobs::matrix(f.small, &so);
             let cache = Arc::new(JobCache::new());
@@ -518,7 +567,7 @@ fn main() {
         }
         Some("advise") => {
             let Some(path) = args.get(1) else { usage() };
-            let f = parse_flags(&args[2..]);
+            let f = parse_flags(&args[2..], "advise", ADVISE_FLAGS);
             let trace = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(CliError::Read(path.clone(), e)));
             match grace_mem::sim::advise_on(f.platform, &trace) {

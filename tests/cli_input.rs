@@ -74,6 +74,50 @@ fn quantum_volume_the_mode_cannot_place_is_rejected() {
 }
 
 #[test]
+fn flags_a_subcommand_would_ignore_are_rejected() {
+    for (cmd, needle) in [
+        (
+            "app kmeans --oversubscribe 4",
+            "--oversubscribe is not supported by app kmeans",
+        ),
+        ("app lud --small", "--small is not supported by app lud"),
+        (
+            "app hotspot --small --prefetch",
+            "--prefetch is not supported by app",
+        ),
+        (
+            "qv 12 --oversubscribe 3",
+            "--oversubscribe is not supported by qv",
+        ),
+        ("qv 12 --small", "--small is not supported by qv"),
+        (
+            "replay traces/example.trace --jobs 2",
+            "--jobs is not supported by replay",
+        ),
+        (
+            "advise traces/example.trace --page 4k",
+            "--page is not supported by advise",
+        ),
+        (
+            "suite --small --page 4k",
+            "--page is not supported by suite",
+        ),
+        (
+            "suite --platform mi300a",
+            "--platform is not supported by suite",
+        ),
+        (
+            "suite --trace-out f.json",
+            "--trace-out is not supported by suite",
+        ),
+        ("list --json", "--json is not supported by list"),
+    ] {
+        let args: Vec<&str> = cmd.split_whitespace().collect();
+        assert_rejected(&args, needle);
+    }
+}
+
+#[test]
 fn valid_sizes_still_run() {
     let over = grace_mem(&["app", "hotspot", "--small", "--oversubscribe", "1.5"]);
     assert!(
