@@ -142,7 +142,7 @@ impl UBuf {
 /// ([`coalesce_unit_ids`], BFS's edge spans) are tested against.
 #[cfg(test)]
 pub(crate) fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    gh_par::par_sort_unstable(&mut touches);
+    touches.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(touches.len());
     for (off, len) in touches {
         if len == 0 {

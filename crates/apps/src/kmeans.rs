@@ -6,7 +6,7 @@
 //! with a *read-only* hot structure (the features never change — only
 //! the small centroid table does).
 
-use gh_par::{par_map_reduce, Grain};
+use gh_par::par_map_reduce;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
@@ -95,7 +95,6 @@ fn lloyd_iteration(m: &mut Model, p: &KmeansParams) -> u64 {
         |i| u64::from(changed[i] != m.assign[i]),
         |a, b| a + b,
     );
-    let _ = Grain::Auto;
     m.assign = changed;
     // Update step (sequential; tiny relative to assignment).
     let mut sums = vec![0.0f64; p.k * dims];

@@ -20,7 +20,6 @@
 //! | `unordered-iter-flow` | hash iteration order never reaches returns/state/output |
 //! | `cache-key-completeness` | `canonical_key` destructures `self` exhaustively, so every spec field is keyed |
 //! | `session-isolation` | per-run state lives on the `SessionCtx`: no ambient statics/env reads, no escaping `Bus`/`Perf`/`Rc` handles |
-//! | `lock-discipline` | no re-entrant locking, no lock pair taken in both orders |
 //! | `allow-syntax` | suppressions are well-formed and carry a reason |
 //!
 //! Suppression is per-line and audited itself:

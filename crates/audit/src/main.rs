@@ -34,7 +34,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 // Comma-separated lists let CI request a rule subset in
-                // one flag: `--rule lock-discipline,session-isolation`.
+                // one flag: `--rule epoch-coherence,session-isolation`.
                 Some(names) => {
                     for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         if !rules::rule_names().contains(&name) {

@@ -134,25 +134,17 @@ mod tests {
     fn sarif_carries_the_concurrency_rules() {
         // The renderer derives rule ids from findings, so the
         // concurrency rules must surface without any registry edit.
-        let findings: Vec<Finding> = [
-            "cache-key-completeness",
-            "session-isolation",
-            "lock-discipline",
-        ]
-        .iter()
-        .map(|r| Finding {
-            rule: r,
-            path: "crates/jobs/src/lib.rs".into(),
-            line: 1,
-            msg: "m".into(),
-        })
-        .collect();
+        let findings: Vec<Finding> = ["cache-key-completeness", "session-isolation"]
+            .iter()
+            .map(|r| Finding {
+                rule: r,
+                path: "crates/jobs/src/lib.rs".into(),
+                line: 1,
+                msg: "m".into(),
+            })
+            .collect();
         let s = render_sarif(&findings);
-        for r in [
-            "cache-key-completeness",
-            "session-isolation",
-            "lock-discipline",
-        ] {
+        for r in ["cache-key-completeness", "session-isolation"] {
             assert!(s.contains(&format!("{{\"id\": \"{r}\"}}")), "{r}");
             assert!(s.contains(&format!("\"ruleId\": \"{r}\"")), "{r}");
         }

@@ -6,7 +6,6 @@
 pub mod cache_key;
 pub mod epoch_coherence;
 pub mod float_eq;
-pub mod lock_discipline;
 pub mod no_platform_leak;
 pub mod session_isolation;
 pub mod trace_coverage;
@@ -64,7 +63,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(unordered_flow::UnorderedIterFlow),
         Box::new(cache_key::CacheKeyCompleteness),
         Box::new(session_isolation::SessionIsolation),
-        Box::new(lock_discipline::LockDiscipline),
     ]
 }
 

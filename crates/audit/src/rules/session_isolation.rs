@@ -1,7 +1,7 @@
 //! `session-isolation`: per-run state lives on the run's `SessionCtx`.
 //!
 //! Every run owns a private `SessionCtx` — a `Bus`, a `Perf`, and
-//! `Rc`-shared model state — so concurrent jobs on the worker pool
+//! `Rc`-shared model state — so concurrent jobs on worker threads
 //! cannot observe each other and the `gh-jobs` executor can run the whole
 //! experiment matrix in one process with bitwise-identical reports. The
 //! compiler enforces part of this (`Rc` is `!Send`), but only at the
@@ -12,12 +12,10 @@
 //!    environment reads (`std::env::var*`). Configuration flows in
 //!    through `SessionOptions`; env vars are honored only at the CLI/bench
 //!    boundary. Exempt: bin/bench/test/example targets (they *are* the
-//!    boundary), the `gh-bench` harness crate (its `util` module turns
-//!    `GH_*` variables into `SessionOptions`), and
-//!    `crates/par/src/pool.rs`, whose process-wide work-stealing pool is
-//!    shared *compute*, not per-run state.
-//! 1. **pool-closure captures** — a closure passed to a spawn-like
-//!    method must not reference a handle-typed variable bound outside
+//!    boundary) and the `gh-bench` harness crate (its `util` module turns
+//!    `GH_*` variables into `SessionOptions`).
+//! 1. **spawn-closure captures** — a closure passed to a `spawn` method
+//!    must not reference a handle-typed variable bound outside
 //!    the closure. Constructing a fresh session *inside* the task (the
 //!    sanctioned `run_job` pattern) stays silent.
 //! 2. **statics** — no `static` item of handle type (token-level,
@@ -46,14 +44,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// channel.
 const HANDLE_TYPES: [&str; 4] = ["Bus", "Perf", "SessionCtx", "Rc"];
 
-/// Methods that move a closure onto pool/worker threads.
-const SPAWN_METHODS: [&str; 3] = ["spawn", "execute", "broadcast"];
-
 /// Crates that are entirely boundary code.
 const AMBIENT_EXEMPT_CRATES: [&str; 1] = ["gh-bench"];
-
-/// Specific sanctioned files (workspace-relative suffix match).
-const AMBIENT_EXEMPT_PATHS: [&str; 1] = ["par/src/pool.rs"];
 
 /// Cell types whose appearance in a lib file means process-wide state.
 const BANNED_CELLS: [&str; 2] = ["OnceLock", "LazyLock"];
@@ -73,17 +65,13 @@ impl Rule for SessionIsolation {
 
     fn describe(&self) -> &'static str {
         "per-run state lives on the SessionCtx: no ambient statics or env reads in model \
-         crates; Bus/Perf/Rc handles never reach statics, pool closures, or other sessions"
+         crates; Bus/Perf/Rc handles never reach statics, spawned closures, or other sessions"
     }
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         if file.kind != FileKind::Lib {
             return; // bins/benches/tests/examples are the boundary
         }
-        if AMBIENT_EXEMPT_CRATES.contains(&file.crate_name.as_str())
-            || AMBIENT_EXEMPT_PATHS
-                .iter()
-                .any(|p| file.rel_path.ends_with(p))
-        {
+        if AMBIENT_EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
             return;
         }
         let code: Vec<_> = file.code_tokens().collect();
@@ -177,7 +165,8 @@ impl Rule for SessionIsolation {
             cx.extend_let_chains(fd);
             let Some(body) = &fd.body else { return };
             ast::walk_block(body, &mut |e| match e {
-                Expr::Method { name, args, .. } if SPAWN_METHODS.contains(&name.as_str()) => {
+                // `spawn` moves a closure onto a worker thread.
+                Expr::Method { name, args, .. } if name == "spawn" => {
                     for a in args {
                         if let Expr::Closure { params, body, line } = a {
                             for (var, tys) in captured_handles(&cx, params, body) {
@@ -187,7 +176,7 @@ impl Rule for SessionIsolation {
                                     line: *line,
                                     msg: format!(
                                         "closure passed to `{name}` captures session \
-                                             handle `{var}` (type mentions `{tys}`) — pool \
+                                             handle `{var}` (type mentions `{tys}`) — spawned \
                                              tasks must construct their session inside the \
                                              task, not share the submitter's handles"
                                     ),
@@ -534,8 +523,6 @@ mod tests {
 
     #[test]
     fn sanctioned_boundaries_are_exempt() {
-        let src = "static POOL: OnceLock<Pool> = OnceLock::new();";
-        assert!(run_at("crates/par/src/pool.rs", "gh-par", FileKind::Lib, src).is_empty());
         let env_src = "let v = std::env::var(\"GH_FAST\");";
         assert!(run_at(
             "crates/bench/src/lib.rs",
@@ -544,8 +531,8 @@ mod tests {
             env_src
         )
         .is_empty());
-        // The same pool code elsewhere in gh-par still fires.
-        assert!(!run_at("crates/par/src/lib.rs", "gh-par", FileKind::Lib, src).is_empty());
+        // The same read in a model crate still fires.
+        assert!(!run_at("crates/par/src/lib.rs", "gh-par", FileKind::Lib, env_src).is_empty());
     }
 
     #[test]

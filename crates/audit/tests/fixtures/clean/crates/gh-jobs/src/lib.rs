@@ -1,6 +1,6 @@
 //! Clean fixture: the disciplined twin of `seeded`'s gh-jobs crate.
-//! Same shapes — a keyed spec, pool submission, a locked cache — with
-//! the sanctioned patterns, so every concurrency rule stays silent.
+//! Same shapes — a keyed spec, pool submission — with the sanctioned
+//! patterns, so every concurrency rule stays silent.
 
 pub struct SessionOptions {
     pub trace: bool,
@@ -41,25 +41,6 @@ pub fn submit(pool: &Pool, small: bool) {
         let ctx = SessionCtx::fresh(small);
         ctx.bus.emit(1);
     });
-}
-
-pub struct JobCache {
-    map: Mutex<u64>,
-}
-
-impl JobCache {
-    pub fn count(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
-        *g
-    }
-
-    // The guard is dropped before calling back into locking code.
-    pub fn publish(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
-        let v = *g;
-        drop(g);
-        self.count() + v
-    }
 }
 
 pub fn run_job(spec: &JobSpec) -> u64 {

@@ -1,7 +1,7 @@
 //! Seeded-violation fixture for the session and executor rules: exactly one
-//! finding each for `cache-key-completeness`, `session-isolation`, and
-//! `lock-discipline`. Never compiled — consumed by `tests/fixtures.rs`
-//! through the engine.
+//! finding each for `cache-key-completeness` and `session-isolation`.
+//! Never compiled — consumed by `tests/fixtures.rs` through the
+//! engine.
 
 pub struct SessionOptions {
     pub trace: bool,
@@ -39,24 +39,6 @@ pub struct SessionCtx {
 pub fn submit(pool: &Pool, ctx: &SessionCtx) {
     let bus = ctx.bus.clone();
     pool.spawn(move || bus.emit(1));
-}
-
-pub struct JobCache {
-    map: Mutex<u64>,
-}
-
-impl JobCache {
-    pub fn count(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
-        *g
-    }
-
-    // lock-discipline: `count` re-locks `map` while the guard is held —
-    // Mutex is not reentrant, so this self-deadlocks.
-    pub fn publish(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
-        self.count()
-    }
 }
 
 pub fn run_job(spec: &JobSpec) -> u64 {

@@ -6,9 +6,9 @@
 //! access is local after the initial mapping fault. The ratio column
 //! makes the architectural trade visible per access pattern.
 //!
-//! The matrix runs **concurrently by default** on the `gh-jobs` executor
-//! (one worker per core, `GH_JOBS=<n>` overrides): sessions are per-run,
-//! so the parallel sweep's reports are bitwise-identical to a serial one.
+//! The matrix runs **concurrently** on the `gh-jobs` executor (one worker
+//! per core): sessions are per-run, so the parallel sweep's reports are
+//! bitwise-identical to a serial one.
 
 use gh_apps::{AppId, MemMode};
 use gh_jobs::{JobCache, JobSpec};
@@ -16,7 +16,7 @@ use gh_profiler::Csv;
 use gh_sim::platform;
 use std::sync::Arc;
 
-use crate::util::{export_trace, jobs_requested, ratio, session_opts};
+use crate::util::{export_trace, ratio, session_opts};
 
 /// Rows: (app, mode, <name>_ms per platform..., mi300a_over_gh200).
 pub fn run(fast: bool) -> Csv {
@@ -29,7 +29,6 @@ pub fn run(fast: bool) -> Csv {
     let mut csv = Csv::new(header);
 
     let so = session_opts();
-    let workers = jobs_requested(gh_par::default_parallelism());
     let mut specs: Vec<JobSpec> = Vec::new();
     for app in AppId::ALL {
         for mode in [MemMode::System, MemMode::Managed] {
@@ -46,7 +45,8 @@ pub fn run(fast: bool) -> Csv {
         }
     }
     let cache = Arc::new(JobCache::new());
-    let mut outcomes = gh_jobs::run_suite(&specs, workers, &cache).into_iter();
+    let mut outcomes =
+        gh_jobs::run_suite(&specs, gh_par::default_parallelism(), &cache).into_iter();
 
     for app in AppId::ALL {
         for mode in [MemMode::System, MemMode::Managed] {

@@ -17,7 +17,7 @@
 //!   session;
 //! * [`JobCache`] — a hash-keyed result cache with hit/miss counters: a
 //!   hit returns the cached report without re-simulating;
-//! * [`run_suite`] — fan a spec list over a [`gh_par`] worker pool
+//! * [`run_suite`] — fan a spec list over [`gh_par`]'s scoped claim loop
 //!   (`workers <= 1` degrades to an inline serial loop), preserving
 //!   input order in the output.
 //!
@@ -34,7 +34,6 @@ use std::sync::{Arc, Mutex};
 
 use gh_apps::{AppId, MemMode};
 use gh_cuda::SessionOptions;
-use gh_par::WorkStealingPool;
 use gh_sim::platform::{self, MachineConfig, PlatformError};
 use gh_sim::RunReport;
 
@@ -252,41 +251,17 @@ fn execute(spec: &JobSpec, cache: &JobCache) -> Result<JobOutcome, PlatformError
 
 /// Runs every spec, returning outcomes in input order.
 ///
-/// `workers <= 1` runs the specs inline on the calling thread (the
-/// serial reference path); otherwise a fresh [`WorkStealingPool`] with
-/// exactly `workers` threads executes them concurrently. Either way the
-/// reports are bitwise-identical — that is the session-scoping
-/// invariant, and `tests/sessions.rs` holds it under `diff`.
+/// The specs are claimed one at a time by at most `min(workers, specs.len())`
+/// scoped threads ([`gh_par::par_map`]); `workers <= 1` runs them inline on
+/// the calling thread (the serial reference path). Either way the reports
+/// are bitwise-identical — that is the session-scoping invariant, and
+/// `tests/sessions.rs` holds it under `diff`.
 pub fn run_suite(
     specs: &[JobSpec],
     workers: usize,
     cache: &Arc<JobCache>,
 ) -> Vec<Result<JobOutcome, PlatformError>> {
-    /// One worker's result slot, filled exactly once per spec.
-    type Slot = Mutex<Option<Result<JobOutcome, PlatformError>>>;
-    if workers <= 1 {
-        return specs.iter().map(|s| execute(s, cache)).collect();
-    }
-    let pool = WorkStealingPool::new(workers);
-    let slots: Arc<Vec<Slot>> = Arc::new(specs.iter().map(|_| Mutex::new(None)).collect());
-    for (i, spec) in specs.iter().cloned().enumerate() {
-        let slots = Arc::clone(&slots);
-        let cache = Arc::clone(cache);
-        pool.spawn(move || {
-            let out = execute(&spec, &cache);
-            *slots[i].lock().expect("slot lock") = Some(out); // gh-audit: allow(no-unwrap-in-lib) -- slot poisoning means this very closure panicked; unreachable
-        });
-    }
-    pool.wait_idle();
-    slots
-        .iter()
-        .map(|s| {
-            s.lock()
-                .expect("slot lock") // gh-audit: allow(no-unwrap-in-lib) -- pool is idle and owned locally; a poisoned slot means a worker panicked
-                .take()
-                .expect("every job ran to completion") // gh-audit: allow(no-unwrap-in-lib) -- wait_idle guarantees each spawned job stored its outcome
-        })
-        .collect()
+    gh_par::par_map(specs.len(), workers, |i| execute(&specs[i], cache))
 }
 
 /// The full experiment matrix the benches and the CLI suite run: every

@@ -2,70 +2,67 @@
 //!
 //! These are built on `std::thread::scope`, so closures may capture
 //! non-`'static` references (slices owned by the caller). Load balance comes
-//! from *dynamic chunk scheduling*: the iteration space is cut into chunks
-//! of [`Grain`] size and workers claim chunks from a shared atomic cursor,
-//! so an uneven workload (e.g. BFS frontiers) does not leave threads idle.
+//! from *dynamic scheduling*: workers claim indices from a shared atomic
+//! cursor, so an uneven workload (BFS frontiers, a job matrix that mixes
+//! short and long runs) does not leave threads idle. [`par_map`] is the one
+//! such loop; [`par_chunks_mut`] and [`par_map_reduce`] are built on it.
 
-// gh-audit: allow-file(no-unwrap-in-lib) -- mutex poisoning means a worker panicked; propagating the panic is the only sound response
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Chunking policy for the scoped loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Grain {
-    /// Fixed number of iterations per claimed chunk.
-    Fixed(usize),
-    /// Split the range into roughly `4 × workers` chunks (a good default:
-    /// large enough to amortize the claim, small enough to balance).
-    Auto,
-}
-
-impl Grain {
-    fn chunk_len(self, total: usize, workers: usize) -> usize {
-        match self {
-            Grain::Fixed(n) => n.max(1),
-            Grain::Auto => (total / (workers * 4).max(1)).max(1),
-        }
-    }
-}
-
-fn effective_workers(total: usize) -> usize {
-    crate::default_parallelism().min(total.max(1))
-}
-
-/// Runs `f(i)` for every `i` in `range`, in parallel, with dynamic
-/// scheduling. Blocks until every iteration has completed.
-pub fn par_for<F>(range: std::ops::Range<usize>, grain: Grain, f: F)
+/// Computes `(0..n).map(f)` on up to `workers` threads and returns the
+/// results in index order. Each worker claims the next unclaimed index
+/// from a shared cursor, so every index runs exactly once and a slow index
+/// does not hold up the rest. At most `min(workers, n)` threads work (the
+/// caller and the ones it spawns); `workers <= 1` runs inline on the
+/// caller. A panic in `f` resumes on the caller once every worker is done.
+pub fn par_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
-    F: Fn(usize) + Sync,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
-    let total = range.len();
-    if total == 0 {
-        return;
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
     }
-    let workers = effective_workers(total);
-    if workers == 1 {
-        for i in range {
-            f(i);
-        }
-        return;
-    }
-    let chunk = grain.chunk_len(total, workers);
     let cursor = AtomicUsize::new(0);
-    let start = range.start;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= total {
-                    return;
-                }
-                let hi = (lo + chunk).min(total);
-                for i in lo..hi {
-                    f(start + i);
-                }
-            });
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
         }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        let mut done = claim();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
     });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
+}
+
+/// The base pointer of the slice one [`par_chunks_mut`] call splits.
+struct SharedMut<T>(*mut T);
+
+// SAFETY: workers only reach the pointee through `SharedMut::slice`, whose
+// contract gives each worker a range no other worker touches; moving those
+// `T`s' access to another thread is what `T: Send` permits.
+unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+impl<T> SharedMut<T> {
+    /// # Safety
+    /// `at + len` must be in bounds of the split slice, no other live view
+    /// may overlap `at..at + len`, and the view must not outlive the
+    /// `par_chunks_mut` call.
+    unsafe fn slice<'a>(&self, at: usize, len: usize) -> &'a mut [T] {
+        std::slice::from_raw_parts_mut(self.0.add(at), len)
+    }
 }
 
 /// Runs `f(chunk_index, chunk)` over disjoint mutable chunks of `data`,
@@ -76,67 +73,20 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    if n_chunks == 0 {
-        return;
-    }
-    let workers = effective_workers(n_chunks);
-    if workers == 1 {
-        for (idx, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(idx, c);
-        }
-        return;
-    }
-    // Pre-split into raw chunk descriptors so each worker can claim chunks
-    // dynamically. Safety: chunks are disjoint by construction, each chunk
-    // index is claimed exactly once via the atomic cursor, and the scope
-    // outlives no reference.
-    let base = data.as_mut_ptr();
     let len = data.len();
-    let cursor = AtomicUsize::new(0);
-    struct SendPtr<T>(*mut T);
-    // SAFETY: the pointer is only dereferenced through disjoint [lo, hi)
-    // ranges claimed via the atomic cursor, within the enclosing scope.
-    unsafe impl<T> Send for SendPtr<T> {}
-    unsafe impl<T> Sync for SendPtr<T> {}
-    let base = SendPtr(base);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let base = &base;
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n_chunks {
-                        return;
-                    }
-                    let lo = idx * chunk_len;
-                    let hi = (lo + chunk_len).min(len);
-                    // SAFETY: [lo, hi) ranges for distinct idx are disjoint
-                    // and within bounds; idx is claimed exactly once.
-                    let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
-                    f(idx, chunk);
-                }
-            });
-        }
-    });
-}
-
-/// Runs `f(chunk_index, chunk)` over disjoint shared chunks of `data`.
-pub fn par_chunks<T, F>(data: &[T], chunk_len: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &[T]) + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    if n_chunks == 0 {
-        return;
-    }
-    par_for(0..n_chunks, Grain::Fixed(1), |idx| {
-        let lo = idx * chunk_len;
-        let hi = (lo + chunk_len).min(data.len());
-        f(idx, &data[lo..hi]);
-    });
+    let base = SharedMut(data.as_mut_ptr());
+    par_map(
+        len.div_ceil(chunk_len),
+        crate::default_parallelism(),
+        |idx| {
+            let lo = idx * chunk_len;
+            let hi = (lo + chunk_len).min(len);
+            // SAFETY: `par_map` hands out each `idx` once, so the `[lo, hi)`
+            // ranges are disjoint; they lie inside `data`, whose borrow
+            // outlives the call.
+            f(idx, unsafe { base.slice(lo, hi - lo) });
+        },
+    );
 }
 
 /// Iterations folded into one partial by [`par_map_reduce`]. A constant,
@@ -155,49 +105,43 @@ pub fn par_map_reduce<A, M, R>(range: std::ops::Range<usize>, identity: A, map: 
 where
     A: Send + Sync + Clone,
     M: Fn(usize) -> A + Sync,
-    R: Fn(A, A) -> A + Sync + Send,
+    R: Fn(A, A) -> A + Sync,
 {
     let (start, end) = (range.start, range.end);
     let n_chunks = range.len().div_ceil(REDUCE_CHUNK);
-    let fold_chunk = |c: usize| {
+    let partials = par_map(n_chunks, crate::default_parallelism(), |c| {
         let lo = start + c * REDUCE_CHUNK;
         let hi = (lo + REDUCE_CHUNK).min(end);
         (lo..hi).fold(identity.clone(), |acc, i| reduce(acc, map(i)))
-    };
-    let mut partials = vec![identity.clone(); n_chunks];
-    par_chunks_mut(&mut partials, 1, |c, slot| slot[0] = fold_chunk(c));
+    });
     partials.into_iter().fold(identity, reduce)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::HashSet;
 
     #[test]
-    fn par_for_visits_every_index_once() {
-        let n = 10_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_for(0..n, Grain::Auto, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    fn par_map_spawns_no_more_threads_than_indices() {
+        let ids: HashSet<_> = par_map(3, 64, |_| std::thread::current().id())
+            .into_iter()
+            .collect();
+        assert!(ids.len() <= 3, "{} threads for 3 indices", ids.len());
     }
 
     #[test]
-    fn par_for_respects_range_offset() {
-        let seen = std::sync::Mutex::new(Vec::new());
-        par_for(100..110, Grain::Fixed(3), |i| {
-            seen.lock().unwrap().push(i);
-        });
-        let mut v = seen.into_inner().unwrap();
-        v.sort_unstable();
-        assert_eq!(v, (100..110).collect::<Vec<_>>());
+    fn par_map_single_worker_runs_inline() {
+        let me = std::thread::current().id();
+        assert!(par_map(100, 1, |_| std::thread::current().id())
+            .into_iter()
+            .all(|id| id == me));
     }
 
     #[test]
-    fn par_for_empty_range_is_noop() {
-        par_for(5..5, Grain::Auto, |_| panic!("must not run"));
+    #[should_panic(expected = "index 7")]
+    fn par_map_propagates_a_worker_panic() {
+        par_map(16, 4, |i| assert_ne!(i, 7, "index {i}"));
     }
 
     #[test]
@@ -222,16 +166,6 @@ mod tests {
             }
         });
         assert!(data.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn par_chunks_shared_reads_all() {
-        let data: Vec<u64> = (0..5000).collect();
-        let sum = AtomicU64::new(0);
-        par_chunks(&data, 128, |_, chunk| {
-            sum.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5000 * 4999 / 2);
     }
 
     #[test]

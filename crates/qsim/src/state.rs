@@ -9,7 +9,6 @@ use crate::gates::Gate2;
 use crate::gates1::Gate1;
 use gh_par::par_map_reduce;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Lanes of one kernel step: the kernel works on `[f32; LANES]` blocks,
 /// which the compiler keeps in vector registers.
@@ -41,12 +40,12 @@ struct Planes {
     im: *mut f32,
 }
 
-// SAFETY: `StateVector::par_items` is the only place `Planes` crosses a
-// thread boundary. It hands each item range to exactly one worker, the
+// SAFETY: `StateVector::par_items` is the only place `Planes` is shared
+// across threads. It hands each item range to exactly one worker, the
 // caller's item-to-index map is injective (each item owns its amplitude
 // indices), and the thread scope ends before the `&mut StateVector` borrow
 // that produced the pointers does.
-unsafe impl Send for Planes {}
+unsafe impl Sync for Planes {}
 
 impl Planes {
     /// Mutable views of `len` amplitudes from `at` in both planes.
@@ -166,23 +165,8 @@ impl StateVector {
             re: self.re.as_mut_ptr(),
             im: self.im.as_mut_ptr(),
         };
-        let chunks = total.div_ceil(CHUNK);
-        let workers = gh_par::default_parallelism().min(chunks);
-        if workers <= 1 {
-            return f(planes, 0..total);
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (f, cursor) = (&f, &cursor);
-                s.spawn(move || loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        return;
-                    }
-                    f(planes, c * CHUNK..((c + 1) * CHUNK).min(total));
-                });
-            }
+        gh_par::par_map(total.div_ceil(CHUNK), gh_par::default_parallelism(), |c| {
+            f(planes, c * CHUNK..((c + 1) * CHUNK).min(total))
         });
     }
 

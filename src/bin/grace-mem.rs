@@ -44,9 +44,9 @@ platforms: gh200 (default; two tiers + migration), mi300a (one unified
            the platform's own (gh200: 64k, mi300a: 4k).
 
 suite: the full app x platform x mode matrix on the gh-jobs executor
-       (--jobs <n> worker threads; 1 = serial reference). Reports are
-       bitwise-identical at any worker count; cache hit/miss counts go
-       to stderr.
+       (--jobs <n> worker threads, at most one per job; 1 = serial
+       reference). Reports are bitwise-identical at any worker count;
+       the workers used and cache hit/miss counts go to stderr.
 
 environment (read HERE, at the CLI boundary, to seed the per-run
 session — library code never reads GH_* variables):
@@ -557,10 +557,11 @@ fn main() {
                 );
                 report_sanitizer(&out.report);
             }
+            // run_suite starts no more workers than there are jobs.
             eprintln!(
                 "suite: {} jobs on {} worker(s); cache {} hit(s), {} miss(es)",
                 specs.len(),
-                f.jobs,
+                f.jobs.min(specs.len()),
                 cache.hits(),
                 cache.misses(),
             );
