@@ -7,7 +7,7 @@
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::{coalesce_unit_ids, UBuf};
+use crate::common::{scaled, IdSet, UBuf};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -55,7 +55,9 @@ pub fn build_graph(p: &BfsParams) -> Graph {
     let n = p.nodes;
     let mut state = p.seed | 1;
     let mut nodes = Vec::with_capacity(n);
-    let mut edges = Vec::new();
+    // `degree + 3` bounds every node's edge count, so the adjacency is
+    // built in place, never reallocated.
+    let mut edges = Vec::with_capacity(n * (p.degree + 3));
     for i in 0..n {
         let start = edges.len() as u32;
         let extra = (rng_next(&mut state) % 5) as i64 - 2;
@@ -101,27 +103,29 @@ fn checksum_of(cost: &[i32]) -> f64 {
 /// Meters a buffer's coalesced spans in one sparse call: big merged runs
 /// are dense streaming accesses, small fragments are irregular
 /// (line-granular) ones.
-fn meter(k: &mut gh_sim::Kernel<'_>, buf: &gh_sim::Buffer, spans: &[(u64, u64)], write: bool) {
+fn meter(
+    k: &mut gh_sim::Kernel<'_>,
+    buf: &gh_sim::Buffer,
+    spans: impl IntoIterator<Item = (u64, u64)>,
+    write: bool,
+) {
     k.sparse(
         buf,
         write,
-        spans.iter().map(|&(off, len)| (off, len, len < 2048)),
+        spans.into_iter().map(|(off, len)| (off, len, len < 2048)),
     );
 }
 
-/// The adjacency spans of the frontier, from the runs of consecutive
-/// node ids `coalesce_unit_ids(frontier, 8, n)` returns. CSR offsets grow
-/// with node id, so a run owns one contiguous edge span; spans left
-/// touching by empty adjacency lists in between are merged, which makes
-/// the result equal to `coalesce` over the per-node segments without
-/// sorting them.
-fn edge_spans(g: &Graph, node_runs: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(node_runs.len());
-    for &(off, len) in node_runs {
-        let (first, last) = ((off / 8) as usize, ((off + len) / 8 - 1) as usize);
-        let start = u64::from(g.nodes[first].0) * 4;
-        let (s, c) = g.nodes[last];
-        let end = u64::from(s + c) * 4;
+/// The adjacency spans of the frontier, from its runs of consecutive
+/// node ids. CSR offsets grow with node id, so a run owns one contiguous
+/// edge span; spans left touching by empty adjacency lists in between
+/// are merged, which makes the result equal to `coalesce` over the
+/// per-node segments without sorting them.
+fn edge_spans(g: &Graph, frontier: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(frontier.len());
+    for &run in frontier {
+        let edges = edge_range(g, run);
+        let (start, end) = (edges.start as u64 * 4, edges.end as u64 * 4);
         if end == start {
             continue;
         }
@@ -131,6 +135,104 @@ fn edge_spans(g: &Graph, node_runs: &[(u64, u64)]) -> Vec<(u64, u64)> {
         }
     }
     out
+}
+
+/// The `edges` index range owned by a run of consecutive node ids: from
+/// its first node's first edge to its last node's last.
+fn edge_range(g: &Graph, (first, count): (u64, u64)) -> std::ops::Range<usize> {
+    let (s, c) = g.nodes[(first + count - 1) as usize];
+    g.nodes[first as usize].0 as usize..(s + c) as usize
+}
+
+/// One BFS level's touch sets, ascending: runs of consecutive node ids
+/// `(first, count)`, and the edge spans in bytes. Each is built from a
+/// set, so none depends on the order the level was walked in.
+#[derive(Debug)]
+struct Level {
+    /// The frontier: the nodes whose descriptors and adjacency are read.
+    frontier: Vec<(u64, u64)>,
+    /// The frontier's adjacency spans in `edges`, in bytes.
+    edge_spans: Vec<(u64, u64)>,
+    /// Every neighbour whose visited flag is checked.
+    neighbours: Vec<(u64, u64)>,
+    /// The nodes this level reaches first: their `cost` and `updating`
+    /// entries are written, and they are the next frontier.
+    found: Vec<(u64, u64)>,
+}
+
+/// Level-synchronous BFS from node 0 that walks each frontier in
+/// ascending node order: the frontier is kept as its runs of consecutive
+/// ids, and each run's adjacency is one contiguous stretch of `edges`
+/// read as a stream into the neighbour set. The neighbours still
+/// unreached are the level's finds. Levels do not depend on the visit
+/// order, and the touch sets are bitmaps, so every level equals the
+/// discovery-order walk's.
+#[derive(Debug)]
+struct Walk<'g> {
+    g: &'g Graph,
+    /// Level per node, -1 until reached.
+    cost: Vec<i32>,
+    depth: i32,
+    /// The neighbours the last level checked.
+    neighbours: IdSet,
+    /// The nodes the last level reached first (node 0 before the first).
+    found: IdSet,
+}
+
+impl<'g> Walk<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let n = g.nodes.len();
+        let mut cost = vec![-1i32; n];
+        cost[0] = 0;
+        let mut found = IdSet::new(n);
+        found.insert(0);
+        Walk {
+            g,
+            cost,
+            depth: 0,
+            neighbours: IdSet::new(n),
+            found,
+        }
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = Level;
+
+    /// Expands the last level's finds by one level.
+    fn next(&mut self) -> Option<Level> {
+        let frontier = self.found.runs();
+        if frontier.is_empty() {
+            return None;
+        }
+        let g = self.g;
+        self.depth += 1;
+        self.neighbours.clear();
+        self.found.clear();
+        for &run in &frontier {
+            for &v in &g.edges[edge_range(g, run)] {
+                self.neighbours.insert(v);
+            }
+        }
+        // Checked in ascending order, the neighbours' costs are read
+        // as a forward sweep rather than one random access per edge.
+        let neighbours = self.neighbours.runs();
+        for &(first, count) in &neighbours {
+            for v in first..first + count {
+                let c = &mut self.cost[v as usize];
+                if *c < 0 {
+                    *c = self.depth;
+                    self.found.insert(v as u32);
+                }
+            }
+        }
+        Some(Level {
+            edge_spans: edge_spans(g, &frontier),
+            neighbours,
+            found: self.found.runs(),
+            frontier,
+        })
+    }
 }
 
 /// Runs BFS under `mode` (checksum = Σ (level+1) over reached nodes).
@@ -172,45 +274,24 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
         b.upload(&mut m);
     }
 
-    // Real BFS with metered per-level kernels.
-    let mut cost = vec![-1i32; n];
-    cost[0] = 0;
-    let mut frontier: Vec<u32> = vec![0];
-    while !frontier.is_empty() {
-        let mut next: Vec<u32> = Vec::new();
+    // Real BFS with metered per-level kernels. Each level is expanded
+    // on the host before its kernels open, as the other apps run their
+    // real compute outside the kernel model.
+    let mut walk = Walk::new(&g);
+    for level in walk.by_ref() {
         // Kernel 1: expand the frontier.
         {
             let mut k = m.rt.launch("bfs_kernel1");
             // Dense sweep over the mask to find frontier threads.
             k.read(mask_buf.gpu(), 0, mask_bytes);
-            // Gather node descriptors of the frontier (coalesced; all
-            // unit-granular touch lists go through the bitmap coalescer,
-            // which produces the same spans as sort+merge without the
-            // per-level sort).
-            let node_runs = coalesce_unit_ids(&frontier, 8, n);
-            meter(&mut k, nodes_buf.gpu(), &node_runs, false);
-            // Per-node adjacency segments + neighbour visited checks.
-            let mut neigh_ids = Vec::new();
-            let mut discovered = Vec::new();
-            for &u in &frontier {
-                let (s, c) = g.nodes[u as usize];
-                for &v in &g.edges[s as usize..(s + c) as usize] {
-                    neigh_ids.push(v);
-                    if cost[v as usize] < 0 {
-                        cost[v as usize] = cost[u as usize] + 1;
-                        next.push(v);
-                        discovered.push(v);
-                    }
-                }
-            }
-            meter(&mut k, edges_buf.gpu(), &edge_spans(&g, &node_runs), false);
-            let neigh_runs = coalesce_unit_ids(&neigh_ids, 1, n);
-            meter(&mut k, vis_buf.gpu(), &neigh_runs, false);
-            // Scatter: new costs + updating mask for discovered nodes.
-            let cost_runs = coalesce_unit_ids(&discovered, 4, n);
-            meter(&mut k, cost_buf.gpu(), &cost_runs, true);
-            let upd_runs = coalesce_unit_ids(&discovered, 1, n);
-            meter(&mut k, upd_buf.gpu(), &upd_runs, true);
+            // Gather the frontier's node descriptors and adjacency
+            // segments, check the neighbours' visited flags, then scatter
+            // new costs and the updating mask for the newly reached nodes.
+            meter(&mut k, nodes_buf.gpu(), scaled(&level.frontier, 8), false);
+            meter(&mut k, edges_buf.gpu(), level.edge_spans, false);
+            meter(&mut k, vis_buf.gpu(), level.neighbours, false);
+            meter(&mut k, cost_buf.gpu(), scaled(&level.found, 4), true);
+            meter(&mut k, upd_buf.gpu(), scaled(&level.found, 1), true);
             k.compute((n + g.edges.len()) as u64);
             k.finish();
         }
@@ -220,15 +301,15 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
             k.read(upd_buf.gpu(), 0, mask_bytes);
             // Per-span calls keep the mask/visited interleaving the GPU
             // issues; each buffer's settled memo survives between them.
-            for span in coalesce_unit_ids(&next, 1, n) {
-                meter(&mut k, mask_buf.gpu(), &[span], true);
-                meter(&mut k, vis_buf.gpu(), &[span], true);
+            for &span in &level.found {
+                meter(&mut k, mask_buf.gpu(), [span], true);
+                meter(&mut k, vis_buf.gpu(), [span], true);
             }
             k.compute(n as u64);
             k.finish();
         }
-        frontier = next;
     }
+    let cost = walk.cost;
     cost_buf.download(&mut m, 0, cost_bytes);
     m.set_checksum(checksum_of(&cost));
 
@@ -243,6 +324,7 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::coalesce;
 
     fn small() -> BfsParams {
         BfsParams {
@@ -281,6 +363,14 @@ mod tests {
         }
     }
 
+    fn id_runs(ids: &[u32], universe: usize) -> Vec<(u64, u64)> {
+        let mut set = IdSet::new(universe);
+        for &id in ids {
+            set.insert(id);
+        }
+        set.runs()
+    }
+
     #[test]
     fn edge_spans_match_coalesced_segments() {
         let g = build_graph(&small());
@@ -299,8 +389,8 @@ mod tests {
                     (u64::from(s) * 4, u64::from(c) * 4)
                 })
                 .collect();
-            let runs = coalesce_unit_ids(&frontier, 8, n);
-            assert_eq!(edge_spans(&g, &runs), crate::common::coalesce(segments));
+            let runs = id_runs(&frontier, n);
+            assert_eq!(edge_spans(&g, &runs), coalesce(segments));
         }
         // Empty adjacency lists between two runs leave their edge spans
         // touching: they merge, as `coalesce` merges them.
@@ -308,9 +398,113 @@ mod tests {
             nodes: vec![(0, 2), (2, 0), (2, 3), (5, 0), (5, 1)],
             edges: vec![0; 6],
         };
-        let runs = coalesce_unit_ids(&[0, 2, 4], 8, 5);
-        assert_eq!(edge_spans(&g, &runs), vec![(0, 24)]);
-        assert!(edge_spans(&g, &coalesce_unit_ids(&[1, 3], 8, 5)).is_empty());
+        assert_eq!(edge_spans(&g, &id_runs(&[0, 2, 4], 5)), vec![(0, 24)]);
+        assert!(edge_spans(&g, &id_runs(&[1, 3], 5)).is_empty());
+    }
+
+    /// A level's metered byte spans, in kernel 1's order: `nodes`,
+    /// `edges`, `visited`, `cost`, `updating` (kernel 2 reuses the last).
+    type Metered = [Vec<(u64, u64)>; 5];
+
+    fn metered(l: &Level) -> Metered {
+        [
+            scaled(&l.frontier, 8).collect(),
+            l.edge_spans.clone(),
+            l.neighbours.clone(),
+            scaled(&l.found, 4).collect(),
+            scaled(&l.found, 1).collect(),
+        ]
+    }
+
+    /// The discovery-order walk the ordered one replaced, as the oracle:
+    /// it visits each frontier in the order its nodes were reached, keeps
+    /// the touches as id lists and coalesces them by sort and merge.
+    fn discovery_order_levels(g: &Graph) -> (Vec<Metered>, Vec<i32>) {
+        let units = |ids: &[u32], unit: u64| {
+            coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect())
+        };
+        let mut cost = vec![-1i32; g.nodes.len()];
+        cost[0] = 0;
+        let mut frontier = vec![0u32];
+        let mut levels = Vec::new();
+        while !frontier.is_empty() {
+            let (mut segments, mut neighbours, mut next) = (Vec::new(), Vec::new(), Vec::new());
+            for &u in &frontier {
+                let (s, c) = g.nodes[u as usize];
+                segments.push((u64::from(s) * 4, u64::from(c) * 4));
+                for &v in &g.edges[s as usize..(s + c) as usize] {
+                    neighbours.push(v);
+                    if cost[v as usize] < 0 {
+                        cost[v as usize] = cost[u as usize] + 1;
+                        next.push(v);
+                    }
+                }
+            }
+            levels.push([
+                units(&frontier, 8),
+                coalesce(segments),
+                units(&neighbours, 1),
+                units(&next, 4),
+                units(&next, 1),
+            ]);
+            frontier = next;
+        }
+        (levels, cost)
+    }
+
+    fn assert_walks_agree(g: &Graph, what: &str) {
+        let (expected, expected_cost) = discovery_order_levels(g);
+        let mut walk = Walk::new(g);
+        let levels: Vec<Metered> = walk.by_ref().map(|l| metered(&l)).collect();
+        assert_eq!(levels, expected, "{what}");
+        assert_eq!(walk.cost, expected_cost, "{what}");
+    }
+
+    /// A CSR graph with `0..=max_degree` random neighbours per node and
+    /// no chain, so adjacency lists may be empty and nodes unreachable.
+    fn sparse_graph(n: usize, max_degree: u64, seed: u64) -> Graph {
+        let mut state = seed | 1;
+        let (mut nodes, mut edges) = (Vec::with_capacity(n), Vec::new());
+        for _ in 0..n {
+            let start = edges.len() as u32;
+            for _ in 0..rng_next(&mut state) % (max_degree + 1) {
+                edges.push((rng_next(&mut state) % n as u64) as u32);
+            }
+            nodes.push((start, edges.len() as u32 - start));
+        }
+        Graph { nodes, edges }
+    }
+
+    #[test]
+    fn ordered_walk_matches_discovery_order_walk() {
+        for (i, &n) in [1usize, 2, 63, 64, 65, 200, 1000].iter().enumerate() {
+            for degree in [1usize, 3, 6] {
+                let seed = 17 + i as u64 * 7 + degree as u64;
+                let p = BfsParams {
+                    nodes: n,
+                    degree,
+                    seed,
+                };
+                assert_walks_agree(&build_graph(&p), &format!("{p:?}"));
+                for max_degree in [1u64, 2, 4] {
+                    let g = sparse_graph(n, max_degree, seed);
+                    assert_walks_agree(&g, &format!("sparse n={n} d={max_degree} seed={seed}"));
+                }
+            }
+        }
+        // Empty adjacency lists inside and at the end of frontier runs,
+        // a level that reaches nothing, and an unreachable node.
+        let g = Graph {
+            nodes: vec![(0, 2), (2, 0), (2, 3), (5, 0), (5, 1), (6, 0)],
+            edges: vec![1, 2, 3, 4, 0, 1],
+        };
+        assert_walks_agree(&g, "hand-built");
+        let mut walk = Walk::new(&g);
+        let levels: Vec<Level> = walk.by_ref().collect();
+        assert_eq!(levels.len(), 3);
+        assert_eq!(levels[2].frontier, vec![(3, 2)]);
+        assert!(levels[2].found.is_empty());
+        assert_eq!(walk.cost, vec![0, 1, 1, 2, 2, -1]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl UBuf {
 /// Merges `(offset, len)` touches into maximal contiguous spans — the
 /// coalesced transactions a GPU would issue for irregular-but-clustered
 /// gathers. The sort-and-merge oracle the sort-free span builders
-/// ([`coalesce_unit_ids`], BFS's edge spans) are tested against.
+/// ([`IdSet::runs`], BFS's edge spans) are tested against.
 #[cfg(test)]
 pub(crate) fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     touches.sort_unstable();
@@ -159,53 +159,88 @@ pub(crate) fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-/// Coalesces *unit* touches — every touch is `(id * unit, unit)` for an
-/// id below `universe` — into the same maximal contiguous spans
-/// [`coalesce`] would produce, via a touched-id bitmap instead of a
-/// sort: O(ids + universe/64) beats O(ids log ids) on the per-level
-/// frontier lists BFS meters by orders of magnitude. Two ids merge
-/// exactly when consecutive, which is precisely `coalesce`'s
-/// `end >= next_off` rule for equal-size unit touches, so the output is
-/// identical span for span.
-pub fn coalesce_unit_ids(ids: &[u32], unit: u64, universe: usize) -> Vec<(u64, u64)> {
-    let words = universe.div_ceil(64);
-    let mut bits = vec![0u64; words];
-    let mut max_id = 0usize;
-    for &id in ids {
-        let id = id as usize;
-        debug_assert!(id < universe, "id {id} outside universe {universe}");
-        bits[id / 64] |= 1u64 << (id % 64);
-        max_id = max_id.max(id);
+/// A set of ids below a fixed universe, kept as a bitmap, whose
+/// [`runs`](IdSet::runs) of consecutive ids are the coalesced spans of
+/// its unit touches: scaled by `unit`, they are what [`coalesce`] makes
+/// of the touches `(id * unit, unit)`, span for span, since two such
+/// touches merge exactly when their ids are consecutive. The runs depend
+/// only on which ids were inserted, never on the order or multiplicity
+/// of the inserts. Building them costs O(inserts + touched words) with no
+/// sort and no id list; one set serves every level of a BFS through
+/// [`clear`](IdSet::clear).
+#[derive(Debug)]
+pub(crate) struct IdSet {
+    bits: Vec<u64>,
+    /// Touched word range `[lo, hi)`; empty when `lo >= hi`.
+    lo: usize,
+    hi: usize,
+}
+
+impl IdSet {
+    /// An empty set over ids `0..universe`.
+    pub(crate) fn new(universe: usize) -> IdSet {
+        let words = universe.div_ceil(64);
+        IdSet {
+            bits: vec![0; words],
+            lo: words,
+            hi: 0,
+        }
     }
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    if ids.is_empty() {
-        return out;
+
+    /// Adds `id` (idempotent).
+    #[inline]
+    pub(crate) fn insert(&mut self, id: u32) {
+        let w = id as usize / 64;
+        self.bits[w] |= 1u64 << (id % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w + 1);
     }
-    let mut run_start: Option<u64> = None;
-    let mut run_end = 0u64; // exclusive end of the open run
-    for (w, &bits_w) in bits.iter().enumerate().take(max_id / 64 + 1) {
-        let mut word = bits_w;
-        while word != 0 {
-            let id = (w as u64) * 64 + word.trailing_zeros() as u64;
-            word &= word - 1; // clear lowest set bit
-            match run_start {
-                Some(_) if id == run_end => run_end = id + 1,
-                Some(s) => {
-                    out.push((s * unit, (run_end - s) * unit));
-                    run_start = Some(id);
-                    run_end = id + 1;
-                }
-                None => {
-                    run_start = Some(id);
-                    run_end = id + 1;
+
+    /// The set's maximal runs of consecutive ids as `(first, count)`,
+    /// ascending.
+    pub(crate) fn runs(&self) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        let mut run_start: Option<u64> = None;
+        let mut run_end = 0u64; // exclusive end of the open run
+        for (w, &bits_w) in self.bits.iter().enumerate().take(self.hi).skip(self.lo) {
+            let mut word = bits_w;
+            while word != 0 {
+                let id = (w as u64) * 64 + word.trailing_zeros() as u64;
+                word &= word - 1; // clear lowest set bit
+                match run_start {
+                    Some(_) if id == run_end => run_end = id + 1,
+                    Some(s) => {
+                        out.push((s, run_end - s));
+                        run_start = Some(id);
+                        run_end = id + 1;
+                    }
+                    None => {
+                        run_start = Some(id);
+                        run_end = id + 1;
+                    }
                 }
             }
         }
+        if let Some(s) = run_start {
+            out.push((s, run_end - s));
+        }
+        out
     }
-    if let Some(s) = run_start {
-        out.push((s * unit, (run_end - s) * unit));
+
+    /// Empties the set, zeroing only the words inserts touched.
+    pub(crate) fn clear(&mut self) {
+        if self.lo < self.hi {
+            self.bits[self.lo..self.hi].fill(0);
+        }
+        self.lo = self.bits.len();
+        self.hi = 0;
     }
-    out
+}
+
+/// The byte spans of `unit`-sized elements over runs of consecutive ids.
+pub(crate) fn scaled(runs: &[(u64, u64)], unit: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+    runs.iter()
+        .map(move |&(id, count)| (id * unit, count * unit))
 }
 
 #[cfg(test)]
@@ -263,30 +298,72 @@ mod tests {
         assert_eq!(spans, vec![(4, 2), (10, 2)]);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `runs()` scaled by `unit` is `coalesce` over the unit touches
+        /// for any id
+        /// multiset, on universes that end on, just before and just after
+        /// a 64-bit word edge, with one set reused across levels.
+        #[test]
+        fn id_set_runs_equal_coalesce(
+            universe in proptest::prop_oneof![1usize..4, 62usize..67, 126usize..131, 1usize..400],
+            unit in proptest::prop_oneof![proptest::prelude::Just(1u64), proptest::prelude::Just(4), proptest::prelude::Just(8)],
+            levels in proptest::collection::vec(
+                proptest::collection::vec(0u32..1_000_000, 0..300),
+                1..5,
+            ),
+        ) {
+            let mut set = IdSet::new(universe);
+            for level in levels {
+                set.clear();
+                let ids: Vec<u32> = level.iter().map(|&r| r % universe as u32).collect();
+                for &id in &ids {
+                    set.insert(id);
+                }
+                let reference =
+                    coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect());
+                proptest::prop_assert_eq!(scaled(&set.runs(), unit).collect::<Vec<_>>(), reference);
+            }
+        }
+    }
+
     #[test]
-    fn coalesce_unit_ids_matches_coalesce() {
-        // The bitmap fast path must match sort+merge span for span on
-        // scattered, duplicated, clustered, and boundary-straddling ids.
+    fn id_set_runs_match_coalesce() {
+        // The bitmap must match sort+merge span for span on scattered,
+        // duplicated, clustered, and boundary-straddling ids, and one set
+        // reused through `clear` must forget every earlier level.
         let mut state = 7u64;
         for unit in [1u64, 4, 8] {
             for universe in [1usize, 63, 64, 65, 1000] {
-                let mut ids: Vec<u32> = (0..universe * 2)
-                    .map(|_| {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((state >> 33) as usize % universe) as u32
-                    })
-                    .collect();
-                ids.push(0);
-                ids.push((universe - 1) as u32);
-                let reference =
-                    coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect());
-                assert_eq!(
-                    coalesce_unit_ids(&ids, unit, universe),
-                    reference,
-                    "unit={unit} universe={universe}"
-                );
+                let mut set = IdSet::new(universe);
+                for level in 0..3 {
+                    let mut ids: Vec<u32> = (0..universe * 2 / (level + 1))
+                        .map(|_| {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            ((state >> 33) as usize % universe) as u32
+                        })
+                        .collect();
+                    ids.push(0);
+                    ids.push((universe - 1) as u32);
+                    set.clear();
+                    for &id in &ids {
+                        set.insert(id);
+                    }
+                    let reference =
+                        coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect());
+                    assert_eq!(
+                        scaled(&set.runs(), unit).collect::<Vec<_>>(),
+                        reference,
+                        "unit={unit} universe={universe} level={level}"
+                    );
+                }
             }
         }
-        assert!(coalesce_unit_ids(&[], 4, 100).is_empty());
+        let mut set = IdSet::new(100);
+        assert!(set.runs().is_empty());
+        set.insert(99);
+        set.clear();
+        assert!(set.runs().is_empty());
     }
 }

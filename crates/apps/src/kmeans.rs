@@ -6,7 +6,7 @@
 //! with a *read-only* hot structure (the features never change — only
 //! the small centroid table does).
 
-use gh_par::par_map_reduce;
+use gh_par::{par_chunks_mut, par_map_reduce};
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
@@ -81,14 +81,21 @@ fn build(p: &KmeansParams) -> Model {
     }
 }
 
+/// Points one worker claims at a time in the assignment step.
+const ASSIGN_CHUNK: usize = 4096;
+
 fn lloyd_iteration(m: &mut Model, p: &KmeansParams) -> u64 {
     // Assignment step (parallel).
     let dims = p.dims;
     let feats = &m.features;
     let cents = &m.centroids;
-    let changed: Vec<u32> = (0..p.points)
-        .map(|i| nearest(&feats[i * dims..(i + 1) * dims], cents, dims) as u32)
-        .collect();
+    let mut changed = vec![0u32; p.points];
+    par_chunks_mut(&mut changed, ASSIGN_CHUNK, |c, out| {
+        for (j, a) in out.iter_mut().enumerate() {
+            let i = c * ASSIGN_CHUNK + j;
+            *a = nearest(&feats[i * dims..(i + 1) * dims], cents, dims) as u32;
+        }
+    });
     let moved = par_map_reduce(
         0..p.points,
         0u64,
